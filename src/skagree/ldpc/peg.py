@@ -20,6 +20,7 @@ class ParityCheckMatrix:
         self.seed = seed
         self._girth: int | None | str = "unset"
         self._encoder = None
+        self._simulator = None
 
     @property
     def shape(self):
@@ -71,6 +72,19 @@ class ParityCheckMatrix:
 
             self._encoder = derive_encoder(self)
         return self._encoder
+
+    def simulator(self, scramble_seed: int):
+        """Cached ``FrameSimulator`` for one scrambler seed.
+
+        The cache holds one simulator; a new seed releases the old one
+        before its own is built, so two never coexist.
+        """
+        if self._simulator is None or self._simulator.scrambler.seed != scramble_seed:
+            from .sim import FrameSimulator
+
+            self._simulator = None
+            self._simulator = FrameSimulator(self, scramble_seed)
+        return self._simulator
 
     def girth(self) -> int | None:
         """Exact length of the shortest Tanner-graph cycle (None if acyclic)."""
@@ -142,6 +156,10 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
     check that is farthest from the variable in the current graph (or outside
     its reachable set), minimizing degree first. Ties break by a seed-derived
     permutation of the check indices, so construction is deterministic.
+
+    The search runs over check nodes only: two checks are linked once for
+    every variable they share, so one breadth-first level of this graph is
+    one check level of the Tanner-graph search from the variable.
     """
     if w_c < 2:
         raise ValueError("column weight must be at least 2")
@@ -155,12 +173,14 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
     tie_rank = np.empty(m, dtype=np.int64)
     tie_rank[rng.permutation(m)] = np.arange(m)
 
-    cap = int(np.ceil(n * w_c / m)) + 4
-    var_adj = np.full((n, w_c), -1, dtype=np.int64)
-    check_adj = np.full((m, cap), -1, dtype=np.int64)
+    var_adj = np.empty((n, w_c), dtype=np.int64)
     check_deg = np.zeros(m, dtype=np.int64)
-    visited_c = np.zeros(m, dtype=bool)
-    visited_v = np.zeros(n, dtype=bool)
+    # check-to-check links; unused slots hold the sentinel m, whose visited
+    # flag stays set, so gathered rows need no padding filter
+    links = np.full((m, (w_c - 1) * (int(np.ceil(n * w_c / m)) + 1)), m, dtype=np.int64)
+    link_deg = np.zeros(m, dtype=np.int64)
+    visited = np.ones(m + 1, dtype=bool)
+    stamp = np.empty(m, dtype=np.int64)
 
     def pick(candidates: np.ndarray) -> int:
         degs = check_deg[candidates]
@@ -170,38 +190,39 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
     all_checks = np.arange(m, dtype=np.int64)
     for v in range(n):
         for k in range(w_c):
+            prior = var_adj[v, :k]
             if k == 0:
                 chosen = pick(all_checks)
             else:
-                visited_c[:] = False
-                visited_v[:] = False
-                frontier = var_adj[v, :k]
-                visited_c[frontier] = True
-                visited_v[v] = True
-                deepest = frontier
+                visited[:m] = False
+                visited[prior] = True
+                reached = k
+                frontier = prior
                 while True:
-                    vs = check_adj[frontier].ravel()
-                    vs = vs[vs >= 0]
-                    vs = vs[~visited_v[vs]]
-                    if vs.size == 0:
+                    nbrs = links[frontier].ravel()
+                    nbrs = nbrs[~visited[nbrs]]
+                    if nbrs.size == 0:
+                        chosen = pick(np.flatnonzero(~visited[:m]))
                         break
-                    visited_v[vs] = True
-                    vs = np.unique(vs)
-                    cs = var_adj[vs].ravel()
-                    cs = cs[cs >= 0]
-                    cs = cs[~visited_c[cs]]
-                    if cs.size == 0:
+                    # keep one copy of each check: the copy whose position
+                    # survives in the stamp array
+                    order = np.arange(nbrs.size)
+                    stamp[nbrs] = order
+                    frontier = nbrs[stamp[nbrs] == order]
+                    visited[frontier] = True
+                    reached += frontier.size
+                    if reached == m:
+                        chosen = pick(frontier)
                         break
-                    visited_c[cs] = True
-                    frontier = np.unique(cs)
-                    deepest = frontier
-                unreached = np.flatnonzero(~visited_c)
-                chosen = pick(unreached if unreached.size else deepest)
             var_adj[v, k] = chosen
-            if check_deg[chosen] == check_adj.shape[1]:
-                check_adj = np.pad(check_adj, ((0, 0), (0, 4)), constant_values=-1)
-            check_adj[chosen, check_deg[chosen]] = v
             check_deg[chosen] += 1
+            if k:
+                if max(link_deg[chosen] + k, link_deg[prior].max() + 1) > links.shape[1]:
+                    links = np.pad(links, ((0, 0), (0, w_c)), constant_values=m)
+                links[chosen, link_deg[chosen]:link_deg[chosen] + k] = prior
+                link_deg[chosen] += k
+                links[prior, link_deg[prior]] = chosen
+                link_deg[prior] += 1
 
     edge_chk = var_adj.ravel()
     edge_var = np.repeat(np.arange(n, dtype=np.int64), w_c)

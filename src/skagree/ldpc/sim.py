@@ -100,48 +100,45 @@ def fer_ber_sim(
 ) -> FerBerEstimate:
     """Estimate FER/BER at one SNR, stopping at ``target_frame_errors``.
 
-    The stopping frame count is the smallest prefix of the frame sequence
-    reaching the target (checked at batch boundaries), so results do not
-    depend on scheduling.
+    The estimate covers the smallest prefix of the frame sequence that
+    reaches the target, so results do not depend on scheduling. Each round
+    decodes about as many frames as the FER seen so far needs to yield the
+    errors still needed, split evenly over the workers; frames past the
+    stopping frame are dropped. A round after only failed frames (the first
+    one, too) takes exactly the errors still needed, so while every frame
+    fails no frame past the stopping frame is decoded.
     """
     if max_frames < 1 or target_frame_errors < 1:
         raise ValueError("frame counts must be positive")
-    sim = FrameSimulator(h, scramble_seed=rng.seed)
-    frame_err = np.zeros(0, dtype=bool)
-    bit_err = np.zeros(0, dtype=np.int64)
+    sim = h.simulator(rng.seed)
     pool = None
     if workers > 1:
         pool = _futures.ProcessPoolExecutor(max_workers=workers)
+    lanes = max(1, workers)
+    frames = fe_total = be_total = 0
     try:
-        next_frame = 0
-        while next_frame < max_frames:
-            chunks = []
-            for _ in range(max(1, workers)):
-                if next_frame >= max_frames:
-                    break
-                hi = min(next_frame + batch, max_frames)
-                chunks.append(np.arange(next_frame, hi))
-                next_frame = hi
+        while frames < max_frames and fe_total < target_frame_errors:
+            need = target_frame_errors - fe_total
+            # frames that yield `need` errors at the FER seen so far, with
+            # one extra failed frame counted so that it is never zero
+            expected = -(-need * (frames + 1) // (fe_total + 1))
+            size = min(expected, lanes * batch, max_frames - frames)
+            chunks = np.array_split(np.arange(frames, frames + size), min(lanes, size))
             args = [(sim, ids, snr_lambda, max_iter, rng.seed) for ids in chunks]
             if pool is None:
                 results = [_chunk_worker(a) for a in args]
             else:
                 results = list(pool.map(_chunk_worker, args))
-            for fe, be in results:
-                frame_err = np.concatenate([frame_err, fe])
-                bit_err = np.concatenate([bit_err, be])
-            cum = np.cumsum(frame_err)
-            if cum.size and cum[-1] >= target_frame_errors:
-                stop = int(np.searchsorted(cum, target_frame_errors)) + 1
-                frame_err = frame_err[:stop]
-                bit_err = bit_err[:stop]
-                break
+            cum = fe_total + np.cumsum(np.concatenate([fe for fe, _ in results]))
+            if cum[-1] >= target_frame_errors:
+                size = int(np.searchsorted(cum, target_frame_errors)) + 1
+            bit_err = np.concatenate([be for _, be in results])
+            frames += size
+            fe_total = int(cum[size - 1])
+            be_total += int(bit_err[:size].sum())
     finally:
         if pool is not None:
             pool.shutdown()
-    frames = frame_err.size
-    fe_total = int(frame_err.sum())
-    be_total = int(bit_err.sum())
     k = sim.encoder.k
     return FerBerEstimate(
         fer=fe_total / frames,

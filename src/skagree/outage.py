@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import expm
+from scipy.special import bdtr
 
 from .channels import PdpProfile, SeededRng, sample_tap_matrix
 from .ofdm import OfdmConfig, eavesdropper_column_energies
@@ -160,12 +160,12 @@ def _hypoexponential_cdf_closed_form(theta: np.ndarray, lam: np.ndarray):
     The coefficients prod_j lam_i / (lam_i - lam_j) depend on the gaps
     relative to the eigenvalues, so near-degeneracy is judged by the
     relative gap |lam_i - lam_j| / max(lam_i, lam_j), not by an absolute one.
+    The eigenvalues must be positive; ``lambda_e_cdf`` drops exact zeros.
     """
     gaps = lam[:, None] - lam[None, :]
-    with np.errstate(invalid="ignore"):
-        relative = np.abs(gaps) / np.maximum(lam[:, None], lam[None, :])
+    relative = np.abs(gaps) / np.maximum(lam[:, None], lam[None, :])
     if not np.all(relative[~np.eye(lam.size, dtype=bool)] >= _DEGENERATE_GAP):
-        return None  # also catches 0/0 from repeated zero eigenvalues
+        return None
     np.fill_diagonal(gaps, 1.0)
     ratios = lam[:, None] / gaps
     np.fill_diagonal(ratios, 1.0)
@@ -202,7 +202,8 @@ def lambda_e_cdf(theta, spec: EigenSpectrum | np.ndarray):
         if isinstance(spec, EigenSpectrum)
         else EigenSpectrum(np.asarray(spec, dtype=float)).eigenvalues
     )
-    if lam[0] == 0.0:
+    lam = lam[lam > 0.0]  # an exactly-zero eigenvalue adds an Exp(0) term: zero
+    if lam.size == 0:
         out = np.ones_like(arr)  # degenerate point mass at zero
     elif lam.size == 1:
         out = 1.0 - np.exp(-arr / lam[0])
@@ -218,6 +219,18 @@ def secrecy_outage_probability(lambda_th: float, epsilon: float, spec) -> float:
     if epsilon < 0 or lambda_th - epsilon < 0:
         raise ValueError("need lambda_th - epsilon >= 0 and epsilon >= 0")
     return 1.0 - float(lambda_e_cdf(lambda_th - epsilon, spec))
+
+
+def _binomial_quantile(q: float, n: int, p: float) -> int:
+    """Smallest k with P{Binomial(n, p) <= k} >= q, by bisection over k."""
+    below, k = -1, n  # P{B <= below} < q <= P{B <= k}
+    while k - below > 1:
+        mid = (below + k) // 2
+        if bdtr(mid, n, p) >= q:
+            k = mid
+        else:
+            below = mid
+    return k
 
 
 @dataclass
@@ -252,8 +265,8 @@ class RateCdf:
         samples = self.secret_key_rates
         n = samples.size
         alpha = 1.0 - _INTERVAL_CONFIDENCE
-        lo = int(stats.binom.ppf(alpha / 2, n, p))
-        hi = int(stats.binom.ppf(1.0 - alpha / 2, n, p)) + 1
+        lo = _binomial_quantile(alpha / 2, n, p)
+        hi = _binomial_quantile(1.0 - alpha / 2, n, p) + 1
         if lo < 1 or hi > n:
             raise ValueError("too few samples to bound this quantile")
         return float(samples[lo - 1]), float(samples[hi - 1])

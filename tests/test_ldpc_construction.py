@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -43,6 +44,46 @@ class TestPegConstruct:
     def test_design_rate(self):
         h = peg_construct(100, 0.25, 3, SeededRng(2))
         assert h.design_rate == pytest.approx(0.25)
+
+
+def _csr_digest(h):
+    csr = h.to_sparse()
+    digest = hashlib.sha256(csr.indptr.astype(np.int64).tobytes())
+    digest.update(csr.indices.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the CSR indptr and indices (int64): construction must keep
+# these matrices for these seeds, however the search is carried out
+_GOLDEN = {
+    (512, 0.25, 3, 1): "8f634d48d9cd58d206e9b282af25f699af2a3d9e94bc4430fe0872e610bc57aa",
+    (512, 0.25, 3, 2): "d348f998ee32b42e0631edec3cc08beb5611180f2bf94b40910546e363a80286",
+    (512, 0.5, 3, 7): "d4fdb50477f22a68df86344ad8985f9f00f6a34a776d6454bc78a1f2441f38e6",
+    (512, 0.5, 3, 8): "6482fa81f5c7414178d4a61f27a1efe2ce05bfe7de0d4c3185c259fbb4df3966",
+    (600, 0.15, 4, 3): "0bdace6ba91d301c262dfe4c1956ed831e383216516e69292623b7b2b2e0c814",
+    (600, 0.15, 4, 4): "95aca6de4ba13c5ca5df3e90c2a9e2db65c00cbe18f8d86ce7b765c1d7cd4dc5",
+    (20, 0.5, 2, 0): "4b44c85a63cecb6f28a0699ca96f472000635ee020e6d29cec8fe4222b87fc5c",
+    (20, 0.5, 2, 5): "e5f493ed45a2201c2259cae98165e311b7d471f65399e05abc64b74452cb455e",
+}
+
+
+@pytest.mark.parametrize("n, rate, w_c, seed", sorted(_GOLDEN))
+def test_peg_golden_hash(n, rate, w_c, seed):
+    h = peg_construct(n, rate, w_c, SeededRng(seed))
+    assert _csr_digest(h) == _GOLDEN[n, rate, w_c, seed]
+
+
+def test_peg_golden_hash_n5000():
+    # the desk code, as ``skagree fer-sim`` builds it from
+    # configs/fer_n5000_desk.json (seed 1234), and the criterion-4 code
+    desk = peg_construct(5000, 0.25, 3, SeededRng(1234).spawn(0))
+    assert _csr_digest(desk) == (
+        "a441d15c6b5bf6987a91e5b8ca51ca46f3aaaa0f72f8ecd2a69beaf297843d6f"
+    )
+    criterion_4 = peg_construct(5000, 0.25, 3, SeededRng(42))
+    assert _csr_digest(criterion_4) == (
+        "2f2eaa7470290759232f871d78215078d94dfa496156b8c5634b3148d58048e3"
+    )
 
 
 def _brute_force_girth(dense):

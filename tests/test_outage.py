@@ -12,6 +12,7 @@ from skagree.outage import (
     lambda_e_cdf,
     sample_quadratic_form,
     secrecy_outage_probability,
+    _binomial_quantile,
     _hypoexponential_cdf_closed_form,
     _hypoexponential_cdf_phase_type,
     simulate_lambda_e,
@@ -161,6 +162,19 @@ class TestLambdaECdf:
         with pytest.raises(ValueError):
             lambda_e_cdf(-0.1, EigenSpectrum(np.array([1.0])))
 
+    def test_exact_zero_eigenvalues_dropped(self):
+        # an Exp(0) term is identically zero, so it leaves the CDF unchanged
+        grid = np.linspace(0.0, 5.0, 40)
+        np.testing.assert_array_equal(
+            lambda_e_cdf(grid, EigenSpectrum(np.array([0.5, 0.0, 0.0]))),
+            lambda_e_cdf(grid, EigenSpectrum(np.array([0.5]))),
+        )
+        np.testing.assert_array_equal(
+            lambda_e_cdf(grid, EigenSpectrum(np.array([0.5, 0.2, 0.0]))),
+            lambda_e_cdf(grid, EigenSpectrum(np.array([0.5, 0.2]))),
+        )
+        assert np.all(lambda_e_cdf(grid, EigenSpectrum(np.zeros(3))) == 1.0)
+
 
 class TestSecrecyOutage:
     def test_threshold_at_zero_gives_certain_outage(self):
@@ -237,6 +251,12 @@ class TestRateOutageCdf:
         assert cdf.outage_interval(1e-3) == (69.0, 135.0)
         with pytest.raises(ValueError):
             RateCdf(ranks[:100], ranks[:100]).outage_interval(1e-3)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 0.1, 0.5])
+    @pytest.mark.parametrize("q", [0.0005, 0.9995])
+    def test_binomial_quantile_matches_scipy_stats(self, n, p, q):
+        assert _binomial_quantile(q, n, p) == int(stats.binom.ppf(q, n, p))
 
     def test_rejects_long_legitimate_pdp(self):
         cfg = OfdmConfig(subcarriers=16, cp_len=2)

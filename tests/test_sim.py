@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
 from skagree.channels import SeededRng
 from skagree.ldpc import fer_ber_sim, peg_construct, security_gap
-from skagree.ldpc.sim import wilson_halfwidth
+from skagree.ldpc.scramble import FrameScrambler
+import skagree.ldpc.sim as sim_module
+from skagree.ldpc.sim import FrameSimulator, wilson_halfwidth
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,107 @@ def test_early_stop_at_target_errors(small_code):
     assert est.frames < 5000
     # stop frame is the first prefix reaching the target
     assert est.frame_errors == 10 or est.frames % 128 == 0
+
+
+def _spy_run_frames(monkeypatch):
+    decoded = []
+    inner = FrameSimulator.run_frames
+
+    def spy(self, frame_ids, *args):
+        decoded.extend(int(i) for i in frame_ids)
+        return inner(self, frame_ids, *args)
+
+    monkeypatch.setattr(FrameSimulator, "run_frames", spy)
+    return decoded
+
+
+def test_early_stop_decodes_no_frame_past_the_stop(small_code, monkeypatch):
+    # at -10 dB every frame fails, so the stop is at frame 40
+    decoded = _spy_run_frames(monkeypatch)
+    kwargs = dict(max_frames=300, target_frame_errors=40, max_iter=5)
+    est = fer_ber_sim(small_code, 10 ** (-1.0), rng=SeededRng(12), **kwargs)
+    assert est.frames == est.frame_errors == 40
+    assert sorted(decoded) == list(range(40))
+    monkeypatch.undo()
+    assert est == fer_ber_sim(small_code, 10 ** (-1.0), rng=SeededRng(12), batch=1, **kwargs)
+
+
+def test_early_stop_result_is_the_stopping_prefix(small_code, monkeypatch):
+    decoded = _spy_run_frames(monkeypatch)
+    kwargs = dict(max_frames=300, target_frame_errors=40, max_iter=30)
+    est = fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(12), **kwargs)
+    assert est.frame_errors == 40 and est.frames < 300
+    assert sorted(decoded) == list(range(len(decoded)))
+    assert len(decoded) >= est.frames
+    monkeypatch.undo()
+    assert est == fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(12), batch=1, **kwargs)
+
+
+class _InlineExecutor:
+    """Stands in for the process pool, recording each round's chunk sizes."""
+
+    rounds: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def map(self, fn, args):
+        args = list(args)
+        self.rounds.append([len(a[1]) for a in args])
+        return map(fn, args)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.mark.parametrize("target", [40, 1000])
+def test_rounds_split_evenly_over_workers(small_code, monkeypatch, target):
+    monkeypatch.setattr(_InlineExecutor, "rounds", [])
+    monkeypatch.setattr(sim_module._futures, "ProcessPoolExecutor", _InlineExecutor)
+    kwargs = dict(max_frames=300, target_frame_errors=target, max_iter=30, batch=16)
+    est = fer_ber_sim(
+        small_code, 10 ** (-0.15), rng=SeededRng(13), workers=3, **kwargs
+    )
+    rounds = _InlineExecutor.rounds
+    assert len(rounds) > 1
+    for sizes in rounds:
+        assert len(sizes) == min(3, sum(sizes))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 16
+    monkeypatch.undo()
+    assert est == fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(13), **kwargs)
+
+
+def test_simulator_cached_per_scramble_seed(small_code, monkeypatch):
+    inits = []
+    inner = FrameScrambler.__init__
+
+    def counting(self, *args):
+        inits.append(args)
+        inner(self, *args)
+
+    monkeypatch.setattr(FrameScrambler, "__init__", counting)
+    sim = small_code.simulator(31)
+    assert small_code.simulator(31) is sim
+    for snr_db in (-1.0, 0.0):
+        fer_ber_sim(small_code, 10 ** (snr_db / 10), 16, 16, 10, SeededRng(31))
+    assert len(inits) == 1
+    assert small_code.simulator(32).scrambler.seed == 32
+    assert len(inits) == 2
+
+
+def test_simulator_cache_releases_old_before_building(small_code, monkeypatch):
+    old = weakref.ref(small_code.simulator(41))
+    alive_at_build = []
+    inner = FrameSimulator.__init__
+
+    def watching(self, *args):
+        gc.collect()
+        alive_at_build.append(old() is not None)
+        inner(self, *args)
+
+    monkeypatch.setattr(FrameSimulator, "__init__", watching)
+    small_code.simulator(42)
+    assert alive_at_build == [False]
 
 
 def test_deterministic_given_seed(small_code):
