@@ -8,7 +8,7 @@ from .de import (
     psi,
     psi_inv,
 )
-from .decoder import DecodeResult, SumProductDecoder, sum_product_decode
+from .decoder import DecodeResult, SumProductDecoder
 from .encoder import Gf2Encoder, derive_encoder
 from .modem import awgn_qpsk_llrs
 from .peg import ParityCheckMatrix, peg_construct

@@ -1,4 +1,11 @@
-"""Log-domain sum-product decoding with a flooding schedule."""
+"""Sum-product decoding with a flooding schedule.
+
+The check update is the tanh rule: each check-to-variable message is
+``2 artanh`` of the product of ``tanh(v/2)`` over the check's other edges.
+That leave-one-out product is the prefix product times the suffix product
+across the check's slots, so an exactly-zero message simply zeroes the
+products of the other edges; no log, exp or division is involved.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +15,10 @@ import numpy as np
 
 from .peg import ParityCheckMatrix
 
-_LOG_FLOOR = 1e-300
 _TANH_CEIL = 1.0 - 1e-15
+# Bytes per message array of one slice of frames: frames are decoded a few
+# at a time, so the decoder's working set does not grow with the batch.
+_SLICE_BYTES = 2 << 20
 
 
 @dataclass
@@ -22,9 +31,19 @@ class DecodeResult:
 class SumProductDecoder:
     """Belief propagation on a fixed Tanner graph, vectorized over frames.
 
-    Check updates run in sign/log-magnitude form so exactly-zero messages
-    (e.g. an all-zero LLR input) propagate correctly instead of raising
-    division errors. Message magnitudes are clamped to ``clamp``.
+    Messages live in check-major slot planes: checks are ordered by
+    decreasing degree, and plane ``j`` holds slot ``j`` of every check that
+    has one, so a plane's padding would be a tail and is left out. A check
+    whose last slot is ``j`` gets the neutral factor 1.0 as its suffix
+    there. Each variable sums its check messages in increasing check order,
+    with non-uniform columns padded by a slot that is always 0.0; this adds
+    the same terms in the same order as a per-variable ``reduceat``.
+
+    The decoder carries half-messages, ``v/2`` into ``tanh`` and
+    ``artanh(.) = c/2`` out of it; halving is exact in floating point, so
+    this equals the full-message recursion. Message magnitudes are clamped
+    to ``clamp``. Frames are decoded in slices of a few at a time; frames
+    are independent, so the slicing changes no result.
 
     A frame is converged once its hard decisions satisfy every check and
     every posterior is nonzero; a bit with an exactly-zero posterior is
@@ -42,12 +61,29 @@ class SumProductDecoder:
         col_deg = h.col_weights()
         if row_deg.min(initial=1) < 1 or col_deg.min(initial=1) < 1:
             raise ValueError("decoder requires every node to have degree >= 1")
-        self.n_edges = var_of_edge.size
-        self.chk_of_edge = chk_of_edge
-        self.var_of_edge = var_of_edge
-        self.chk_starts = np.concatenate([[0], np.cumsum(row_deg)[:-1]])
-        self.var_perm = np.argsort(var_of_edge, kind="stable")
-        self.var_starts = np.concatenate([[0], np.cumsum(col_deg)[:-1]])
+        self.n_edges = n_edges = var_of_edge.size
+        m, n = h.num_checks, h.n
+        # plane j holds checks 0..counts[j]-1 of the degree-sorted order
+        rank = np.empty(m, dtype=np.int64)
+        rank[np.argsort(-row_deg, kind="stable")] = np.arange(m)
+        counts = np.array([np.count_nonzero(row_deg > j) for j in range(row_deg.max())])
+        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self._planes = [(int(o), int(c)) for o, c in zip(offsets, counts)]
+        chk_starts = np.concatenate([[0], np.cumsum(row_deg)[:-1]])
+        slot = np.arange(n_edges) - chk_starts[chk_of_edge]
+        # plane position of each edge of ``h.tanner_edges()``
+        self._plane_of_edge = offsets[slot] + rank[chk_of_edge]
+        self._var_of_pos = np.empty(n_edges, dtype=np.int64)
+        self._var_of_pos[self._plane_of_edge] = var_of_edge
+        # per variable, the positions of its edges in increasing check order,
+        # as (w_max, n) slot planes (at least two) padded with the zero slot
+        var_perm = np.argsort(var_of_edge, kind="stable")
+        var_starts = np.concatenate([[0], np.cumsum(col_deg)[:-1]])
+        var_slot = np.arange(n_edges) - var_starts[var_of_edge[var_perm]]
+        self._var_gather = np.full((max(2, col_deg.max()), n), n_edges, dtype=np.int64)
+        self._var_gather[var_slot, var_of_edge[var_perm]] = self._plane_of_edge[var_perm]
+        self._var_gather = self._var_gather.ravel()
+        self._slice_frames = max(1, _SLICE_BYTES // (8 * (n_edges + 1)))
 
     def decode(self, llrs, max_iter: int = 100) -> DecodeResult:
         arr = np.asarray(llrs, dtype=float)
@@ -58,30 +94,47 @@ class SumProductDecoder:
 
     def decode_batch(self, llrs, max_iter: int = 100):
         """Decode (batch, n) LLR rows; returns (bits, converged, iterations)."""
-        llrs = np.clip(np.asarray(llrs, dtype=float), -self.clamp, self.clamp)
+        llrs = np.asarray(llrs, dtype=float)
+        if llrs.ndim != 2 or llrs.shape[1] != self.h.n:
+            raise ValueError(f"expected (batch, n) LLRs with n = {self.h.n}")
+        llrs = np.clip(llrs, -self.clamp, self.clamp)
         batch = llrs.shape[0]
+        bits = np.empty((batch, self.h.n), dtype=np.uint8)
+        converged = np.empty(batch, dtype=bool)
+        iterations = np.empty(batch, dtype=np.int64)
+        for lo in range(0, batch, self._slice_frames):
+            part = slice(lo, lo + self._slice_frames)
+            bits[part], converged[part], iterations[part] = self._decode_slice(
+                llrs[part], max_iter
+            )
+        return bits, converged, iterations
+
+    def _decode_slice(self, llrs: np.ndarray, max_iter: int):
+        """Decode clipped LLR rows; all of them are held in memory at once."""
         bits = (llrs < 0).astype(np.uint8)
         converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
             llrs != 0.0, axis=1
         )
-        iterations = np.zeros(batch, dtype=np.int64)
-        iterations[~converged] = max_iter
+        iterations = np.where(converged, 0, max_iter)
         active = np.flatnonzero(~converged)
         if active.size == 0 or max_iter == 0:
             return bits, converged, iterations
 
-        llr_act = llrs[active]
-        v2c = llr_act[:, self.var_of_edge]
-        c2v = np.zeros_like(v2c)
+        half = 0.5 * self.clamp
+        half_llr = 0.5 * llrs[active]
+        post = half_llr.copy()  # half posterior LLRs
+        c = np.zeros((active.size, self.n_edges + 1))
+        t = np.empty((active.size, self.n_edges))
+        g = np.empty((active.size, self._var_gather.size))
         for it in range(1, max_iter + 1):
-            c2v = self._check_update(v2c)
-            totals = self._variable_totals(llr_act, c2v)
-            v2c = np.clip(
-                totals[:, self.var_of_edge] - c2v, -self.clamp, self.clamp
-            )
-            hard = (totals < 0).astype(np.uint8)
+            np.take(post, self._var_of_pos, axis=1, out=t)
+            np.subtract(t, c[:, :-1], out=t)
+            np.clip(t, -half, half, out=t)
+            self._check_update(t, c)
+            self._posteriors(half_llr, c, g, out=post)
+            hard = (post < 0).astype(np.uint8)
             ok = ~np.any(self.h.syndrome(hard), axis=1) & np.all(
-                totals != 0.0, axis=1
+                post != 0.0, axis=1
             )
             if np.any(ok):
                 done = active[ok]
@@ -92,30 +145,53 @@ class SumProductDecoder:
                 if not np.any(keep):
                     return bits, converged, iterations
                 active = active[keep]
-                llr_act = llr_act[keep]
-                v2c = v2c[keep]
-                c2v = c2v[keep]
-        totals = self._variable_totals(llr_act, c2v)
-        bits[active] = (totals < 0).astype(np.uint8)
+                half_llr, post, c = half_llr[keep], post[keep], c[keep]
+                t, g = t[: active.size], g[: active.size]
+        bits[active] = (post < 0).astype(np.uint8)
         return bits, converged, iterations
 
-    def _check_update(self, v2c: np.ndarray) -> np.ndarray:
-        t = np.tanh(0.5 * v2c)
-        mag = np.abs(t)
-        log_mag = np.log(np.maximum(mag, _LOG_FLOOR))
-        neg = t < 0
-        log_sum = np.add.reduceat(log_mag, self.chk_starts, axis=1)
-        parity = np.add.reduceat(neg.astype(np.int8), self.chk_starts, axis=1) & 1
-        loo_log = log_sum[:, self.chk_of_edge] - log_mag
-        sign = np.where(neg ^ parity[:, self.chk_of_edge].astype(bool), -1.0, 1.0)
-        prod = sign * np.exp(np.minimum(loo_log, 0.0))
-        return 2.0 * np.arctanh(np.clip(prod, -_TANH_CEIL, _TANH_CEIL))
+    def _check_update(self, t: np.ndarray, c: np.ndarray) -> None:
+        """Half variable-to-check messages ``t`` to half check messages in ``c``.
 
-    def _variable_totals(self, llr_act: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-        per_var = np.add.reduceat(c2v[:, self.var_perm], self.var_starts, axis=1)
-        return llr_act + per_var
+        ``t`` is used up as work space; the zero slot of ``c`` is kept.
+        """
+        np.tanh(t, out=t)
+        loo = c[:, :-1]
+        self._leave_one_out(t, loo)
+        np.clip(loo, -_TANH_CEIL, _TANH_CEIL, out=loo)
+        np.arctanh(loo, out=loo)
 
+    def _leave_one_out(self, t: np.ndarray, out: np.ndarray) -> None:
+        """Each edge's product of ``t`` over the other edges of its check.
 
-def sum_product_decode(h, llrs, max_iter: int = 100) -> DecodeResult:
-    """One-shot decode; build a :class:`SumProductDecoder` to amortize setup."""
-    return SumProductDecoder(h).decode(llrs, max_iter)
+        Plane ``j`` of ``t`` is overwritten with the prefix product of
+        slots 0..j.
+        """
+        planes = self._planes
+        # suffix products, 1.0 where a check has no later slot
+        top, count = planes[-1]
+        out[:, top:top + count] = 1.0
+        for (o, k), (o1, k1) in zip(planes[-2::-1], planes[:0:-1]):
+            np.multiply(t[:, o1:o1 + k1], out[:, o1:o1 + k1], out=out[:, o:o + k1])
+            out[:, o + k1:o + k] = 1.0
+        # times prefix products
+        for (o0, _), (o, k), (_, k1) in zip(planes, planes[1:], planes[2:] + [(0, 0)]):
+            out[:, o:o + k] *= t[:, o0:o0 + k]
+            t[:, o:o + k1] *= t[:, o0:o0 + k1]
+
+    def _posteriors(self, half_llr: np.ndarray, c: np.ndarray, g: np.ndarray,
+                    out: np.ndarray) -> None:
+        """Half posterior LLRs: half channel LLR plus the half check messages.
+
+        The slot planes add as ``s0 + ((s1 + s2) + ...)``, the order in which
+        ``reduceat`` sums a variable's messages (up to eight of them).
+        """
+        n = self.h.n
+        np.take(c, self._var_gather, axis=1, out=g)
+        rest = g[:, n:2 * n]
+        if g.shape[1] > 2 * n:
+            rest = np.add(rest, g[:, 2 * n:3 * n], out=out)
+            for lo in range(3 * n, g.shape[1], n):
+                rest += g[:, lo:lo + n]
+        np.add(g[:, :n], rest, out=out)
+        out += half_llr

@@ -9,8 +9,9 @@ from skagree.ldpc import (
     SumProductDecoder,
     awgn_qpsk_llrs,
     peg_construct,
-    sum_product_decode,
 )
+from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
+from skagree.ldpc.sim import wilson_halfwidth
 
 # (7,4) Hamming code parity checks
 HAMMING_H = np.array(
@@ -21,6 +22,98 @@ HAMMING_H = np.array(
     ],
     dtype=np.uint8,
 )
+
+
+class LogDomainDecoder:
+    """Reference oracle: the flooding sum-product decoder in log domain.
+
+    Messages live in check-major edge order. The check update sums
+    log|tanh(v/2)| per check with ``reduceat`` and takes each edge's
+    leave-one-out product as ``exp(sum - own)``, with the sign from the
+    parity of negative factors; an exactly-zero factor is floored at
+    ``_LOG_FLOOR``. Same clamp, convergence rule and early retirement as
+    :class:`SumProductDecoder`.
+    """
+
+    _LOG_FLOOR = 1e-300
+    _TANH_CEIL = 1.0 - 1e-15
+
+    def __init__(self, h: ParityCheckMatrix, clamp: float = 30.0):
+        self.h = h
+        self.clamp = clamp
+        self.chk_of_edge, self.var_of_edge = h.tanner_edges()
+        self.chk_starts = np.concatenate([[0], np.cumsum(h.row_weights())[:-1]])
+        self.var_perm = np.argsort(self.var_of_edge, kind="stable")
+        self.var_starts = np.concatenate([[0], np.cumsum(h.col_weights())[:-1]])
+
+    def decode_batch(self, llrs, max_iter: int = 100):
+        llrs = np.clip(np.asarray(llrs, dtype=float), -self.clamp, self.clamp)
+        batch = llrs.shape[0]
+        bits = (llrs < 0).astype(np.uint8)
+        converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
+            llrs != 0.0, axis=1
+        )
+        iterations = np.zeros(batch, dtype=np.int64)
+        iterations[~converged] = max_iter
+        active = np.flatnonzero(~converged)
+        if active.size == 0 or max_iter == 0:
+            return bits, converged, iterations
+        llr_act = llrs[active]
+        v2c = llr_act[:, self.var_of_edge]
+        c2v = np.zeros_like(v2c)
+        for it in range(1, max_iter + 1):
+            c2v = self.check_update(v2c)
+            totals = self.variable_totals(llr_act, c2v)
+            v2c = np.clip(
+                totals[:, self.var_of_edge] - c2v, -self.clamp, self.clamp
+            )
+            hard = (totals < 0).astype(np.uint8)
+            ok = ~np.any(self.h.syndrome(hard), axis=1) & np.all(
+                totals != 0.0, axis=1
+            )
+            if np.any(ok):
+                done = active[ok]
+                bits[done] = hard[ok]
+                converged[done] = True
+                iterations[done] = it
+                keep = ~ok
+                if not np.any(keep):
+                    return bits, converged, iterations
+                active = active[keep]
+                llr_act = llr_act[keep]
+                v2c = v2c[keep]
+                c2v = c2v[keep]
+        totals = self.variable_totals(llr_act, c2v)
+        bits[active] = (totals < 0).astype(np.uint8)
+        return bits, converged, iterations
+
+    def leave_one_out(self, v2c: np.ndarray) -> np.ndarray:
+        t = np.tanh(0.5 * v2c)
+        mag = np.abs(t)
+        log_mag = np.log(np.maximum(mag, self._LOG_FLOOR))
+        neg = t < 0
+        log_sum = np.add.reduceat(log_mag, self.chk_starts, axis=1)
+        parity = np.add.reduceat(neg.astype(np.int8), self.chk_starts, axis=1) & 1
+        loo_log = log_sum[:, self.chk_of_edge] - log_mag
+        sign = np.where(neg ^ parity[:, self.chk_of_edge].astype(bool), -1.0, 1.0)
+        return sign * np.exp(np.minimum(loo_log, 0.0))
+
+    def check_update(self, v2c: np.ndarray) -> np.ndarray:
+        prod = self.leave_one_out(v2c)
+        return 2.0 * np.arctanh(np.clip(prod, -self._TANH_CEIL, self._TANH_CEIL))
+
+    def variable_totals(self, llr_act: np.ndarray, c2v: np.ndarray) -> np.ndarray:
+        per_var = np.add.reduceat(c2v[:, self.var_perm], self.var_starts, axis=1)
+        return llr_act + per_var
+
+
+def noisy_llrs(h: ParityCheckMatrix, snr_db: float, frames: int, rng: SeededRng):
+    """Codewords of random messages and their QPSK/AWGN channel LLRs."""
+    enc = h.encoder()
+    words = enc.encode_batch(rng.bits((frames, enc.k)))
+    snr = 10 ** (snr_db / 10)
+    rx = qpsk_symbols(words, snr) + rng.complex_normals((frames, (h.n + 1) // 2))
+    return words, llrs_from_rx(rx, snr, h.n)
 
 
 def hamming_codewords():
@@ -36,7 +129,7 @@ def test_noiseless_codeword_converges_immediately():
     h = peg_construct(60, 0.5, 3, SeededRng(2))
     word = h.encoder().encode(SeededRng(3).bits(h.encoder().k))
     llrs = 20.0 * (1.0 - 2.0 * word.astype(float))
-    res = sum_product_decode(h, llrs, max_iter=50)
+    res = SumProductDecoder(h).decode(llrs, max_iter=50)
     assert res.converged
     assert res.iterations <= 1
     assert np.array_equal(res.bits, word)
@@ -67,7 +160,7 @@ def test_hamming_single_flip_corrected_matches_ml():
 
 def test_all_zero_llrs_do_not_converge():
     h = peg_construct(60, 0.5, 3, SeededRng(4))
-    res = sum_product_decode(h, np.zeros(60), max_iter=20)
+    res = SumProductDecoder(h).decode(np.zeros(60), max_iter=20)
     assert not res.converged
     assert res.iterations == 20
 
@@ -90,16 +183,19 @@ def test_convergence_implies_zero_syndrome():
 def test_batch_matches_single_frame():
     h = peg_construct(120, 0.25, 3, SeededRng(7))
     decoder = SumProductDecoder(h)
+    decoder._slice_frames = 4
+    frames = 2 * decoder._slice_frames + 3  # two whole slices and a remainder
     rng = SeededRng(8)
     enc = h.encoder()
     llr_rows = []
-    for i in range(6):
+    for i in range(frames):
         stream = rng.spawn(i)
         word = enc.encode(stream.bits(enc.k))
         llr_rows.append(awgn_qpsk_llrs(word, 10 ** (-0.1), stream))
     llrs = np.array(llr_rows)
     bits_b, conv_b, iters_b = decoder.decode_batch(llrs, max_iter=40)
-    for i in range(6):
+    assert 0 < conv_b.sum() < frames
+    for i in range(frames):
         single = decoder.decode(llrs[i], max_iter=40)
         assert np.array_equal(single.bits, bits_b[i])
         assert single.converged == conv_b[i]
@@ -114,5 +210,138 @@ def test_degree_zero_graph_rejected():
 
 def test_llr_length_checked():
     h = peg_construct(12, 0.25, 3, SeededRng(1))
+    decoder = SumProductDecoder(h)
     with pytest.raises(ValueError):
-        SumProductDecoder(h).decode(np.zeros(11))
+        decoder.decode(np.zeros(11))
+    for bad in (np.zeros((2, 11)), np.zeros(12)):
+        with pytest.raises(ValueError, match=r"expected \(batch, n\) LLRs with n = 12"):
+            decoder.decode_batch(bad)
+
+
+@pytest.fixture(scope="module")
+def code512():
+    return peg_construct(512, 0.25, 3, SeededRng(3))
+
+
+def test_decoder_matches_log_domain_oracle(code512):
+    """A fixed corpus of 2 001 frames at three SNRs against the oracle.
+
+    Every frame the oracle converges must get the same bits, flag and
+    iteration count; at the two SNRs with intermediate FER the decoder's
+    FER must lie in the oracle's 95% Wilson interval; no converged frame
+    may violate the dense parity checks.
+    """
+    decoder = SumProductDecoder(code512)
+    oracle = LogDomainDecoder(code512)
+    dense = code512.to_dense().astype(np.int64)
+    rng = SeededRng(11)
+    for point, snr_db in enumerate((-2.5, -1.5, -0.5)):
+        words, llrs = noisy_llrs(code512, snr_db, 667, rng.spawn(point))
+        bits, conv, iters = decoder.decode_batch(llrs, max_iter=40)
+        ref_bits, ref_conv, ref_iters = oracle.decode_batch(llrs, max_iter=40)
+        assert np.array_equal(bits[ref_conv], ref_bits[ref_conv])
+        assert np.array_equal(conv[ref_conv], ref_conv[ref_conv])
+        assert np.array_equal(iters[ref_conv], ref_iters[ref_conv])
+        assert not np.any(dense @ bits[conv].T % 2)
+        errors = int(np.any(bits != words, axis=1).sum())
+        ref_errors = int(np.any(ref_bits != words, axis=1).sum())
+        if snr_db < -1.0:
+            assert 0 < ref_errors < len(words)
+            halfwidth = wilson_halfwidth(ref_errors, len(words))
+            assert abs(errors - ref_errors) / len(words) <= halfwidth
+
+
+def test_leave_one_out_products_match_log_domain(code512):
+    """Tanh-rule products against the oracle's exp(sum of logs), 1e-13 relative.
+
+    The oracle floors |tanh| at 1e-300. Where this kernel gives an exact
+    zero (a zero among the other factors) the oracle gives a product below
+    1e-280; that is the only absolute slack. For an edge whose own factor is
+    zero the oracle subtracts two logs near log(1e-300) = -690.8, so its
+    product is good only to about 690.8 * 2**-52 = 1.5e-13 relative; there
+    the kernel is held to the same 1e-13 against the plain product of the
+    other factors instead.
+    """
+    decoder = SumProductDecoder(code512)
+    oracle = LogDomainDecoder(code512)
+    rng = np.random.default_rng(5)
+    v2c = rng.normal(0.0, 8.0, (40, decoder.n_edges))
+    pick = rng.random(v2c.shape)
+    v2c[pick < 0.05] = 0.0
+    v2c[(pick >= 0.05) & (pick < 0.10)] = decoder.clamp
+    v2c[(pick >= 0.10) & (pick < 0.15)] = -decoder.clamp
+    ref = oracle.leave_one_out(v2c)
+    tanh = np.tanh(0.5 * v2c)
+    t = np.empty_like(v2c)
+    t[:, decoder._plane_of_edge] = tanh
+    out = np.empty_like(t)
+    decoder._leave_one_out(t, out)
+    got = out[:, decoder._plane_of_edge]
+    own_zero = v2c == 0.0
+    np.testing.assert_allclose(got[~own_zero], ref[~own_zero], rtol=1e-13, atol=1e-280)
+    assert np.any(got == 0.0) and np.all(got[np.abs(ref) < 1e-280] == 0.0)
+    chk = oracle.chk_of_edge
+    plain = np.stack([
+        np.prod(tanh[:, (chk == chk[e]) & (np.arange(chk.size) != e)], axis=1)
+        for e in range(chk.size)
+    ], axis=1)
+    np.testing.assert_allclose(got[own_zero], plain[own_zero], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["hamming", "peg"])
+def test_posteriors_bit_identical_given_same_check_messages(which, code512):
+    h = ParityCheckMatrix(HAMMING_H) if which == "hamming" else code512
+    decoder = SumProductDecoder(h)
+    oracle = LogDomainDecoder(h)
+    rng = np.random.default_rng(6)
+    c2v = rng.normal(0.0, 5.0, (8, decoder.n_edges))
+    llr = rng.normal(0.0, 3.0, (8, h.n))
+    c = np.zeros((8, decoder.n_edges + 1))
+    c[:, decoder._plane_of_edge] = 0.5 * c2v
+    post = np.empty((8, h.n))
+    decoder._posteriors(0.5 * llr, c, np.empty((8, decoder._var_gather.size)), out=post)
+    assert np.array_equal(2.0 * post, oracle.variable_totals(llr, c2v))
+
+
+def _edge_case(which, code512):
+    """(code, LLR rows) for one floating-point edge case."""
+    rng = SeededRng(21)
+    if which == "all-zero":
+        h = peg_construct(60, 0.5, 3, SeededRng(4))
+        return h, np.zeros((3, h.n))
+    if which == "hamming":
+        words = hamming_codewords()
+        llrs = 2.0 * (1.0 - 2.0 * words.astype(float))
+        llrs[np.arange(16), np.arange(16) % 7] *= -1.0
+        llrs[::3, 6] = 0.0
+        llrs[1::3, 5] = 30.0
+        return ParityCheckMatrix(HAMMING_H), llrs
+    words, llrs = noisy_llrs(code512, -1.5, 60, rng)
+    pick = SeededRng(22).uniform(llrs.shape)
+    if which == "clamp":
+        # reliable bits of either sign at and beyond the clamp
+        strong = np.array([30.0, 30.0 + 1e-9, 45.0, 1e300, np.inf])
+        mask = pick < 0.2
+        sign = 1.0 - 2.0 * words[mask]
+        llrs[mask] = sign * strong[np.arange(mask.sum()) % 5]
+    elif which == "zeros":
+        llrs[pick < 0.01] = 0.0
+    return code512, llrs
+
+
+@pytest.mark.parametrize("which", ["all-zero", "clamp", "zeros", "hamming", "peg-3-4-5"])
+def test_floating_point_edge_cases(which, code512):
+    """No floating-point error is raised, and decisions match the oracle."""
+    h, llrs = _edge_case(which, code512)
+    decoder = SumProductDecoder(h)
+    with np.errstate(all="raise"):
+        bits, conv, iters = decoder.decode_batch(llrs, max_iter=30)
+    ref_bits, ref_conv, ref_iters = LogDomainDecoder(h).decode_batch(llrs, max_iter=30)
+    assert np.array_equal(conv[ref_conv], ref_conv[ref_conv])
+    assert np.array_equal(bits[ref_conv], ref_bits[ref_conv])
+    assert np.array_equal(iters[ref_conv], ref_iters[ref_conv])
+    assert not h.syndrome(bits[conv]).any()
+    if which == "all-zero":
+        assert not conv.any() and np.all(iters == 30)
+    else:
+        assert conv.any()
