@@ -175,12 +175,29 @@ def _csv_cell(x):
     return x
 
 
+def _csv_column(values: tuple) -> list[str] | None:
+    """Cells of an all-float or all-int column as ``csv.writer`` writes
+    their ``_csv_cell``; None for any other column."""
+    kinds = set(map(type, values))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    if all(issubclass(k, (int, np.integer)) for k in kinds):
+        return list(map(str, map(int, values)))
+    return None
+
+
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(x) for x in row])
+    width = {len(row) for row in rows}
+    columns = [_csv_column(col) for col in zip(*rows)] if len(width) == 1 else [None]
+    if columns and None not in columns:
+        # numeric cells need no quoting
+        buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    else:
+        for row in rows:
+            writer.writerow([_csv_cell(x) for x in row])
     return buf.getvalue().encode()
 
 

@@ -110,7 +110,13 @@ class SumProductDecoder:
         return bits, converged, iterations
 
     def _decode_slice(self, llrs: np.ndarray, max_iter: int):
-        """Decode clipped LLR rows; all of them are held in memory at once."""
+        """Decode clipped LLR rows; all of them are held in memory at once.
+
+        Each iteration starts by gathering the posteriors onto the slot
+        planes, which also gives every check's parity for the previous
+        iteration's hard decisions, so converged frames retire there with
+        that iteration's count; one more gather judges the last iteration.
+        """
         bits = (llrs < 0).astype(np.uint8)
         converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
             llrs != 0.0, axis=1
@@ -126,29 +132,45 @@ class SumProductDecoder:
         c = np.zeros((active.size, self.n_edges + 1))
         t = np.empty((active.size, self.n_edges))
         g = np.empty((active.size, self._var_gather.size))
-        for it in range(1, max_iter + 1):
-            np.take(post, self._var_of_pos, axis=1, out=t)
+        neg = np.empty((active.size, self.n_edges), dtype=bool)
+        for it in range(1, max_iter + 2):
+            np.take(post, self._var_of_pos, axis=1, out=t, mode="clip")
+            if it > 1:
+                ok = self._checks_satisfied(t, neg)
+                if np.any(ok):
+                    ok[ok] = np.all(post[ok] != 0.0, axis=1)
+                if np.any(ok):
+                    done = active[ok]
+                    bits[done] = post[ok] < 0
+                    converged[done] = True
+                    iterations[done] = it - 1
+                    keep = np.flatnonzero(~ok)
+                    if keep.size == 0:
+                        return bits, converged, iterations
+                    active = active[keep]
+                    half_llr, post, c, t = _keep_rows(keep, half_llr, post, c, t)
+                    g, neg = g[: keep.size], neg[: keep.size]
+            if it > max_iter:
+                break
             np.subtract(t, c[:, :-1], out=t)
             np.clip(t, -half, half, out=t)
             self._check_update(t, c)
             self._posteriors(half_llr, c, g, out=post)
-            hard = (post < 0).astype(np.uint8)
-            ok = ~np.any(self.h.syndrome(hard), axis=1) & np.all(
-                post != 0.0, axis=1
-            )
-            if np.any(ok):
-                done = active[ok]
-                bits[done] = hard[ok]
-                converged[done] = True
-                iterations[done] = it
-                keep = ~ok
-                if not np.any(keep):
-                    return bits, converged, iterations
-                active = active[keep]
-                half_llr, post, c = half_llr[keep], post[keep], c[keep]
-                t, g = t[: active.size], g[: active.size]
-        bits[active] = (post < 0).astype(np.uint8)
+        bits[active] = post < 0
         return bits, converged, iterations
+
+    def _checks_satisfied(self, t: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """Per frame, whether the signs gathered in ``t`` satisfy every check.
+
+        ``neg`` is work space; the parities are XORed onto plane 0 the way
+        :meth:`_leave_one_out` walks the planes.
+        """
+        np.less(t, 0.0, out=neg)
+        (_, m), *rest = self._planes
+        parity = neg[:, :m]
+        for o, k in rest:
+            np.bitwise_xor(parity[:, :k], neg[:, o:o + k], out=parity[:, :k])
+        return ~np.any(parity, axis=1)
 
     def _check_update(self, t: np.ndarray, c: np.ndarray) -> None:
         """Half variable-to-check messages ``t`` to half check messages in ``c``.
@@ -187,7 +209,7 @@ class SumProductDecoder:
         ``reduceat`` sums a variable's messages (up to eight of them).
         """
         n = self.h.n
-        np.take(c, self._var_gather, axis=1, out=g)
+        np.take(c, self._var_gather, axis=1, out=g, mode="clip")
         rest = g[:, n:2 * n]
         if g.shape[1] > 2 * n:
             rest = np.add(rest, g[:, 2 * n:3 * n], out=out)
@@ -195,3 +217,18 @@ class SumProductDecoder:
                 rest += g[:, lo:lo + n]
         np.add(g[:, :n], rest, out=out)
         out += half_llr
+
+
+def _keep_rows(rows: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Move the given increasing rows of each array to its front, in place.
+
+    Returns views of the front rows, so retiring frames allocates nothing.
+    Row ``i`` is filled from row ``rows[i] >= i``, which is never read again.
+    """
+    fronts = []
+    for a in arrays:
+        for dst, src in enumerate(rows.tolist()):
+            if dst != src:
+                a[dst] = a[src]
+        fronts.append(a[: rows.size])
+    return fronts

@@ -43,7 +43,9 @@ def rref(words: np.ndarray, n: int) -> list[int]:
         hit = col == 1
         hit[rank] = False
         if hit.any():
-            words[hit] ^= words[rank]
+            # the pivot row is zero left of column j
+            w = j >> 6
+            words[hit, w:] ^= words[rank, w:]
         pivots.append(j)
         rank += 1
     return pivots

@@ -60,10 +60,9 @@ class ParityCheckMatrix:
 
     def syndrome(self, bits) -> np.ndarray:
         """Parity of every check for one word or a (batch, n) block."""
+        # uint8 sums wrap mod 256, which keeps their parity
         arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim == 1:
-            return np.asarray(self._csr.dot(arr.astype(np.int64)) & 1, dtype=np.uint8)
-        return np.asarray(self._csr.dot(arr.T.astype(np.int64)) & 1, dtype=np.uint8).T
+        return (self._csr.dot(arr.T) & 1).T
 
     def encoder(self):
         """Cached encoder derived by GF(2) elimination (see ``derive_encoder``)."""

@@ -1,10 +1,21 @@
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from skagree.cli import KIND_PARAMS, ConfigError, ExperimentConfig, describe, main, run
+from skagree.cli import (
+    KIND_PARAMS,
+    ConfigError,
+    ExperimentConfig,
+    _csv_bytes,
+    _csv_cell,
+    describe,
+    main,
+    run,
+)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -217,3 +228,38 @@ def test_rerun_byte_identical(tmp_path):
     assert (tmp_path / "a" / "rep.secrecy.csv").read_bytes() == (
         tmp_path / "b" / "rep.secrecy.csv"
     ).read_bytes()
+
+
+def _csv_writer_bytes(header, rows):
+    """What ``csv.writer`` writes for each cell's ``_csv_cell``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(x) for x in row])
+    return buf.getvalue().encode()
+
+
+_FLOATS = [0.1, -0.0, 1e-300, 5e-324, float("inf"), float("-inf"), float("nan"), 1e22, 2.5]
+_CSV_TABLES = {
+    "floats": [[a, b] for a, b in zip(_FLOATS, reversed(_FLOATS))],
+    "numpy-floats": [
+        [np.float64(x), np.float32(x), np.float16(0.1)] for x in _FLOATS
+    ],
+    "ints": [[0, -3, 2**70], [np.int64(7), np.int32(-1), np.uint8(255)], [True, False, 1]],
+    "mixed-column": [[1, 2.0], [1.5, 3]],
+    "fer-row": [[-2.2, 1000, 838, np.int64(912345), 0.838, 0.25, 0.0228]],
+    "strings": [["a,b", 'say "hi"', "line\nbreak"], ["", "plain", 1.0]],
+    "none": [[None, 1.0]],
+    "ragged": [[1.0, 2.0], [3.0]],
+    "empty-rows": [[], []],
+    "no-rows": [],
+    "one-column": [[0.5], [np.float64(-0.0)]],
+}
+
+
+@pytest.mark.parametrize("table", sorted(_CSV_TABLES))
+def test_csv_bytes_match_csv_writer(table):
+    rows = _CSV_TABLES[table]
+    header = ["x", "y, z", "w"]
+    assert _csv_bytes(header, rows) == _csv_writer_bytes(header, rows)

@@ -127,6 +127,28 @@ def test_girth_none_for_forest():
     assert ParityCheckMatrix(dense).girth() is None
 
 
+def test_syndrome_matches_dense_product_past_byte_wrap():
+    # row 0 has weight 300, so its sums pass 255 and wrap in uint8
+    rng = np.random.default_rng(4)
+    dense = (rng.random((40, 400)) < 0.05).astype(np.uint8)
+    dense[:2] = 0
+    dense[0, :300] = 1
+    dense[1, 50:351] = 1
+    h = ParityCheckMatrix(dense)
+    words = rng.integers(0, 2, (9, 400)).astype(np.uint8)
+    words[0] = 1
+    words[1, :300] = 1
+    words[2] = 0
+    expected = dense.astype(np.int64) @ words.T.astype(np.int64) % 2
+    assert np.array_equal(h.syndrome(words), expected.T)
+    assert h.syndrome(words).dtype == np.uint8
+    for word, row in zip(words, expected.T):
+        single = h.syndrome(word)
+        assert single.shape == (40,) and single.dtype == np.uint8
+        assert np.array_equal(single, row)
+    assert expected[0, 0] == 0 and expected[1, 0] == 1  # 300 and 301 ones
+
+
 class TestEncoder:
     def test_zero_message_zero_codeword(self):
         h = peg_construct(60, 0.5, 3, SeededRng(3))

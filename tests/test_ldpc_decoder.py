@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -249,6 +250,68 @@ def test_decoder_matches_log_domain_oracle(code512):
             assert 0 < ref_errors < len(words)
             halfwidth = wilson_halfwidth(ref_errors, len(words))
             assert abs(errors - ref_errors) / len(words) <= halfwidth
+
+
+def test_first_iterations_match_log_domain_oracle(code512):
+    """Every frame equals the oracle at ``max_iter`` 0 to 3.
+
+    At these SNRs frames converge after 0, 1, 2 and 3 iterations, so each
+    iteration count, and the last iteration's convergence test, is hit.
+    """
+    decoder = SumProductDecoder(code512)
+    oracle = LogDomainDecoder(code512)
+    rng = SeededRng(13)
+    seen = set()
+    for point, snr_db in enumerate((2.0, 4.0, 9.0)):
+        _, llrs = noisy_llrs(code512, snr_db, 200, rng.spawn(point))
+        for max_iter in range(4):
+            bits, conv, iters = decoder.decode_batch(llrs, max_iter=max_iter)
+            ref_bits, ref_conv, ref_iters = oracle.decode_batch(llrs, max_iter=max_iter)
+            assert np.array_equal(bits, ref_bits)
+            assert np.array_equal(conv, ref_conv)
+            assert np.array_equal(iters, ref_iters)
+            seen.update(iters[conv].tolist())
+    assert seen == {0, 1, 2, 3}
+
+
+def test_one_syndrome_call_per_slice(code512, monkeypatch):
+    """Convergence after an iteration is read off the decoder's own gather."""
+    _, llrs = noisy_llrs(code512, -1.5, 11, SeededRng(14))
+    decoder = SumProductDecoder(code512)
+    decoder._slice_frames = 4
+    calls = []
+    syndrome = ParityCheckMatrix.syndrome
+
+    def spy(self, bits):
+        calls.append(len(bits))
+        return syndrome(self, bits)
+
+    monkeypatch.setattr(ParityCheckMatrix, "syndrome", spy)
+    _, conv, iters = decoder.decode_batch(llrs, max_iter=40)
+    assert calls == [4, 4, 3]
+    assert conv.any() and np.all(iters[conv] > 1)
+
+
+def _decode_digest(bits, conv, iters) -> str:
+    digest = hashlib.sha256(np.ascontiguousarray(bits, dtype=np.uint8).tobytes())
+    digest.update(conv.astype(np.uint8).tobytes())
+    digest.update(iters.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def test_desk_code_golden_decode():
+    """The desk code's decodes keep their sha256 over (bits, converged, iterations)."""
+    h = peg_construct(5000, 0.25, 3, SeededRng(1234).spawn(0))
+    decoder = SumProductDecoder(h)
+    rng = SeededRng(31)
+    golden = {
+        -2.2: "1de6a9450263aba73ab1c9f6146aa770cbb418961299f69d696b8ef85e8cbed4",
+        -1.2: "d02075f5df15e43e2e7bdff08968aca8f05d7ce81d59b74a5fb74c18610f2a09",
+    }
+    for point, (snr_db, frames) in enumerate(((-2.2, 24), (-1.2, 40))):
+        _, llrs = noisy_llrs(h, snr_db, frames, rng.spawn(point))
+        result = decoder.decode_batch(llrs, max_iter=100)
+        assert _decode_digest(*result) == golden[snr_db]
 
 
 def test_leave_one_out_products_match_log_domain(code512):
