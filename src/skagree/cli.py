@@ -190,9 +190,8 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    width = {len(row) for row in rows}
-    columns = [_csv_column(col) for col in zip(*rows)] if len(width) == 1 else [None]
-    if columns and None not in columns:
+    columns = [_csv_column(col) for col in zip(*rows)]
+    if columns and None not in columns and {len(row) for row in rows} == {len(columns)}:
         # numeric cells need no quoting
         buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
     else:

@@ -137,8 +137,7 @@ class SumProductDecoder:
             np.take(post, self._var_of_pos, axis=1, out=t, mode="clip")
             if it > 1:
                 ok = self._checks_satisfied(t, neg)
-                if np.any(ok):
-                    ok[ok] = np.all(post[ok] != 0.0, axis=1)
+                ok[ok] = np.all(post[ok] != 0.0, axis=1)
                 if np.any(ok):
                     done = active[ok]
                     bits[done] = post[ok] < 0
