@@ -175,6 +175,9 @@ def _csv_cell(x):
     return x
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def _csv_column(values: tuple) -> list[str] | None:
     """Cells of an all-float or all-int column as ``csv.writer`` writes
     their ``_csv_cell``; None for any other column."""
@@ -190,13 +193,15 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    columns = [_csv_column(col) for col in zip(*rows)]
-    if columns and None not in columns and {len(row) for row in rows} == {len(columns)}:
-        # numeric cells need no quoting
-        buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
-    else:
-        for row in rows:
-            writer.writerow([_csv_cell(x) for x in row])
+    # a few thousand rows at a time, so the cell strings stay few
+    for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = rows[lo:lo + _CSV_CHUNK_ROWS]
+        columns = [_csv_column(col) for col in zip(*chunk)]
+        if columns and None not in columns and {len(row) for row in chunk} == {len(columns)}:
+            # numeric cells need no quoting
+            buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        else:
+            writer.writerows([_csv_cell(x) for x in row] for row in chunk)
     return buf.getvalue().encode()
 
 
