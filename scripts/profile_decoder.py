@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Per-step cost of the sum-product decoder, in us per frame-iteration.
 
-Builds a PEG code, draws noisy all-zero codewords (the decoder is symmetric
-in the codeword) and runs the steps of one decoder iteration on a single
-slice of frames, timing each step; no frame retires, so every iteration
-covers the whole slice. Example:
+Builds a rate-1/4, column-weight-3 PEG code, draws noisy all-zero codewords
+(the decoder is symmetric in the codeword) and times the decoder's own
+steps of one iteration on a single slice of frames: the gather of the
+posteriors onto the check slot planes, the check parity read off that
+gather, the check update (subtract, clip, tanh, leave-one-out products,
+arctanh) and the posteriors (the variable-side gather and the sums). No
+frame retires, so every iteration covers the whole slice. Example:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/profile_decoder.py \\
         --n 5000 --snr-db -1.6 --frames 17
@@ -18,52 +21,36 @@ import numpy as np
 
 from skagree.channels import SeededRng
 from skagree.ldpc import SumProductDecoder, peg_construct
-from skagree.ldpc.decoder import _TANH_CEIL
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 
-STEPS = (
-    "gather to checks", "parity", "subtract and clip", "tanh", "products",
-    "arctanh and clip", "gather to variables", "sums",
-)
+RATE, W_C, SEED = 0.25, 3, 1234  # the code of the benchmark's decoder workloads
+ITERS, REPEAT = 20, 5  # iterations per run; each step reports its best run
+STEPS = ("gather to checks", "parity", "check update", "posteriors")
 
 
-def profile(decoder: SumProductDecoder, llrs: np.ndarray, iters: int) -> Counter:
-    """Seconds spent in each step over ``iters`` iterations of one slice."""
+def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
+    """Seconds spent in each step over ``ITERS`` iterations of one slice."""
     frames = llrs.shape[0]
-    half = 0.5 * decoder.clamp
     half_llr = 0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp)
     post = half_llr.copy()
     c = np.zeros((frames, decoder.n_edges + 1))
     t = np.empty((frames, decoder.n_edges))
     g = np.empty((frames, decoder._var_gather.size))
     neg = np.empty(t.shape, dtype=bool)
-    loo = c[:, :-1]
     spent = Counter()
     clock = time.perf_counter
-    for _ in range(iters):
+    for _ in range(ITERS):
         marks = [clock()]
         np.take(post, decoder._var_of_pos, axis=1, out=t, mode="clip")
         marks.append(clock())
         decoder._checks_satisfied(t, neg)
         marks.append(clock())
-        np.subtract(t, loo, out=t)
-        np.clip(t, -half, half, out=t)
+        decoder._check_update(t, c)
         marks.append(clock())
-        np.tanh(t, out=t)
-        marks.append(clock())
-        decoder._leave_one_out(t, loo)
-        marks.append(clock())
-        np.clip(loo, -_TANH_CEIL, _TANH_CEIL, out=loo)
-        np.arctanh(loo, out=loo)
-        marks.append(clock())
-        np.take(c, decoder._var_gather, axis=1, out=g, mode="clip")
-        marks.append(clock())
-        # the posteriors gather to variables again, then sum
         decoder._posteriors(half_llr, c, g, out=post)
         marks.append(clock())
         for step, a, b in zip(STEPS, marks, marks[1:]):
             spent[step] += b - a
-        spent["sums"] -= marks[-2] - marks[-3]
     return spent
 
 
@@ -71,19 +58,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--n", type=int, default=5000, help="code length")
-    parser.add_argument("--rate", type=float, default=0.25)
-    parser.add_argument("--w-c", type=int, default=3, help="column weight")
-    parser.add_argument("--seed", type=int, default=1234, help="PEG and noise seed")
     parser.add_argument("--snr-db", type=float, default=-1.6, help="symbol SNR")
     parser.add_argument("--frames", type=int, default=0,
                         help="slice size (default: the decoder's own slice)")
-    parser.add_argument("--iters", type=int, default=20, help="iterations per run")
-    parser.add_argument("--repeat", type=int, default=5,
-                        help="runs; each step reports its best run")
     args = parser.parse_args()
 
-    rng = SeededRng(args.seed)
-    h = peg_construct(args.n, args.rate, args.w_c, rng.spawn(0))
+    rng = SeededRng(SEED)
+    h = peg_construct(args.n, RATE, W_C, rng.spawn(0))
     decoder = SumProductDecoder(h)
     frames = args.frames or decoder._slice_frames
     snr = 10.0 ** (args.snr_db / 10.0)
@@ -91,16 +72,16 @@ def main() -> int:
     noise = rng.spawn(1).complex_normals((frames, (h.n + 1) // 2))
     llrs = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, h.n)
 
-    runs = [profile(decoder, llrs, args.iters) for _ in range(args.repeat)]
-    scale = 1e6 / (args.iters * frames)
+    runs = [profile(decoder, llrs) for _ in range(REPEAT)]
+    scale = 1e6 / (ITERS * frames)
     print(f"n={h.n} m={h.num_checks} edges={decoder.n_edges} frames={frames} "
-          f"snr_db={args.snr_db} iters={args.iters} best of {args.repeat}")
+          f"snr_db={args.snr_db} iters={ITERS} best of {REPEAT}")
     total = 0.0
     for step in STEPS:
         best = scale * min(run[step] for run in runs)
         total += best
-        print(f"  {step:<22} {best:8.1f} us per frame-iteration")
-    print(f"  {'sum of steps':<22} {total:8.1f} us per frame-iteration")
+        print(f"  {step:<18} {best:8.1f} us per frame-iteration")
+    print(f"  {'sum of steps':<18} {total:8.1f} us per frame-iteration")
     return 0
 
 

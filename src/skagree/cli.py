@@ -167,41 +167,35 @@ def describe(kind: str) -> str:
     return "\n".join(lines)
 
 
-def _csv_cell(x):
+def _csv_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))  # full round-trip precision
     if isinstance(x, (int, np.integer)):
-        return int(x)
-    return x
+        return str(int(x))
+    raise TypeError(f"CSV cells are ints or floats, not {type(x).__name__}")
 
 
 _CSV_CHUNK_ROWS = 4096
 
 
-def _csv_column(values: tuple) -> list[str] | None:
-    """Cells of an all-float or all-int column as ``csv.writer`` writes
-    their ``_csv_cell``; None for any other column."""
-    kinds = set(map(type, values))
-    if all(issubclass(k, (float, np.floating)) for k in kinds):
+def _csv_column(values: tuple) -> list[str]:
+    """The ``_csv_cell`` of each value; all-float columns in one numpy call."""
+    if all(issubclass(k, (float, np.floating)) for k in set(map(type, values))):
         return list(map(repr, np.asarray(values, dtype=float).tolist()))
-    if all(issubclass(k, (int, np.integer)) for k in kinds):
-        return list(map(str, map(int, values)))
-    return None
+    return list(map(_csv_cell, values))
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    """CSV of int and float rows, as ``csv.writer`` writes their ``_csv_cell``.
+
+    Numeric cells need no quoting, so rows are joined directly, a few
+    thousand at a time so that the cell strings stay few.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    # a few thousand rows at a time, so the cell strings stay few
+    csv.writer(buf, lineterminator="\n").writerow(header)
     for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-        chunk = rows[lo:lo + _CSV_CHUNK_ROWS]
-        columns = [_csv_column(col) for col in zip(*chunk)]
-        if columns and None not in columns and {len(row) for row in chunk} == {len(columns)}:
-            # numeric cells need no quoting
-            buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
-        else:
-            writer.writerows([_csv_cell(x) for x in row] for row in chunk)
+        columns = map(_csv_column, zip(*rows[lo:lo + _CSV_CHUNK_ROWS], strict=True))
+        buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
     return buf.getvalue().encode()
 
 

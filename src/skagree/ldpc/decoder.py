@@ -126,7 +126,6 @@ class SumProductDecoder:
         if active.size == 0 or max_iter == 0:
             return bits, converged, iterations
 
-        half = 0.5 * self.clamp
         half_llr = 0.5 * llrs[active]
         post = half_llr.copy()  # half posterior LLRs
         c = np.zeros((active.size, self.n_edges + 1))
@@ -151,8 +150,6 @@ class SumProductDecoder:
                     g, neg = g[: keep.size], neg[: keep.size]
             if it > max_iter:
                 break
-            np.subtract(t, c[:, :-1], out=t)
-            np.clip(t, -half, half, out=t)
             self._check_update(t, c)
             self._posteriors(half_llr, c, g, out=post)
         bits[active] = post < 0
@@ -172,12 +169,17 @@ class SumProductDecoder:
         return ~np.any(parity, axis=1)
 
     def _check_update(self, t: np.ndarray, c: np.ndarray) -> None:
-        """Half variable-to-check messages ``t`` to half check messages in ``c``.
+        """Half posteriors gathered in ``t`` to half check messages in ``c``.
 
+        Each edge's previous check message comes off its posterior, giving the
+        clipped half variable-to-check message that the tanh rule takes.
         ``t`` is used up as work space; the zero slot of ``c`` is kept.
         """
-        np.tanh(t, out=t)
         loo = c[:, :-1]
+        np.subtract(t, loo, out=t)
+        half = 0.5 * self.clamp
+        np.clip(t, -half, half, out=t)
+        np.tanh(t, out=t)
         self._leave_one_out(t, loo)
         np.clip(loo, -_TANH_CEIL, _TANH_CEIL, out=loo)
         np.arctanh(loo, out=loo)
