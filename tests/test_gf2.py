@@ -49,6 +49,13 @@ def _matrices():
     rep[32:] = rep[:32]
     rep[:, 64:100] = 0
     cases.append(("repeated-rows-64x129", rep))
+    # rows run out inside the first eight-column block
+    cases.append(("random-3x20", rng.integers(0, 2, (3, 20))))
+    # rank 6 over 61 columns: most blocks have one pivot or none
+    thin = rng.integers(0, 2, (200, 6)) @ rng.integers(0, 2, (6, 61)) % 2
+    cases.append(("rank-6-200x61", thin))
+    # every pivot needs a swap from far below
+    cases.append(("permuted-identity-90x90", np.eye(90, dtype=np.uint8)[rng.permutation(90)]))
     return [(name, np.asarray(m, dtype=np.uint8)) for name, m in cases]
 
 
