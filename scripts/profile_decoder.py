@@ -10,7 +10,7 @@ arctanh) and the posteriors (the variable-side gather and the sums). No
 frame retires, so every iteration covers the whole slice. Example:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/profile_decoder.py \\
-        --n 5000 --snr-db -1.6 --frames 17
+        --n 5000 --snr-db -1.6 --frames 4
 """
 
 import argparse
@@ -31,17 +31,18 @@ STEPS = ("gather to checks", "parity", "check update", "posteriors")
 def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
     """Seconds spent in each step over ``ITERS`` iterations of one slice."""
     frames = llrs.shape[0]
-    half_llr = 0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp)
+    # edge-major state, one column per frame, as the decoder holds it
+    half_llr = np.ascontiguousarray(0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp).T)
     post = half_llr.copy()
-    c = np.zeros((frames, decoder.n_edges + 1))
-    t = np.empty((frames, decoder.n_edges))
-    g = np.empty((frames, decoder._var_gather.size))
+    c = np.zeros((decoder.n_edges + 1, frames))
+    t = np.empty((decoder.n_edges, frames))
+    g = np.empty((decoder._var_gather.size, frames))
     neg = np.empty(t.shape, dtype=bool)
     spent = Counter()
     clock = time.perf_counter
     for _ in range(ITERS):
         marks = [clock()]
-        np.take(post, decoder._var_of_pos, axis=1, out=t, mode="clip")
+        np.take(post, decoder._var_of_pos, axis=0, out=t, mode="clip")
         marks.append(clock())
         decoder._checks_satisfied(t, neg)
         marks.append(clock())

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 _ASYMPTOTIC_CUTOFF = 100.0
 _SATURATION = 1.0 - 1e-12
@@ -49,6 +48,8 @@ def psi(x: float) -> float:
 
 def psi_inv(y: float, bracket_hint: float | None = None) -> float:
     """Inverse of :func:`psi` on [0, 1) by bracketing plus Brent's method."""
+    from scipy.optimize import brentq  # imported on use: slow to load
+
     if y < 0 or y >= 1.0:
         raise ValueError("psi_inv requires 0 <= y < 1")
     if y == 0.0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,11 @@ def toeplitz_conv_matrix(g, n: int) -> np.ndarray:
     taps = _as_taps(g)
     if n < 1:
         raise ValueError("n must be >= 1")
-    first_col = np.concatenate([taps, np.zeros(n - 1, dtype=complex)])
-    first_row = np.concatenate([taps[:1], np.zeros(n - 1, dtype=complex)])
-    return toeplitz(first_col, first_row)
+    # entry (i, j) is g(i - j), read off g padded with n - 1 zeros each side
+    padded = np.concatenate([np.zeros(n - 1, dtype=complex), taps,
+                             np.zeros(n - 1, dtype=complex)])
+    diag = np.arange(n + taps.size - 1)[:, None] - np.arange(n)
+    return padded[diag + (n - 1)]
 
 
 def modulator_matrix(cfg: OfdmConfig) -> np.ndarray:

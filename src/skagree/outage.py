@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import bdtr
 
 from .channels import PdpProfile, SeededRng, sample_tap_matrix
 from .ofdm import OfdmConfig, eavesdropper_column_energies
@@ -178,6 +176,8 @@ def _hypoexponential_cdf_closed_form(theta: np.ndarray, lam: np.ndarray):
 
 def _hypoexponential_cdf_phase_type(theta: np.ndarray, lam: np.ndarray):
     """Matrix-exponential evaluation, stable for repeated eigenvalues."""
+    from scipy.linalg import expm  # imported on use: slow to load
+
     rates = 1.0 / lam
     k = lam.size
     gen = np.diag(-rates)
@@ -223,6 +223,8 @@ def secrecy_outage_probability(lambda_th: float, epsilon: float, spec) -> float:
 
 def _binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest k with P{Binomial(n, p) <= k} >= q, by bisection over k."""
+    from scipy.special import bdtr  # imported on use: slow to load
+
     below, k = -1, n  # P{B <= below} < q <= P{B <= k}
     while k - below > 1:
         mid = (below + k) // 2

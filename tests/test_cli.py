@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skagree
 from skagree.cli import (
     KIND_PARAMS,
     ConfigError,
@@ -270,3 +274,16 @@ def test_csv_bytes_match_csv_writer(table):
 def test_csv_bytes_rejects_non_numeric_and_ragged_rows(rows, error):
     with pytest.raises(error):
         _csv_bytes(["x", "y"], rows)
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    """``import skagree.cli`` loads none of scipy's linalg, optimize or stats
+    modules; the functions that need them import them when called."""
+    src = str(Path(skagree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    slow = ("scipy.linalg", "scipy.optimize", "scipy.stats")
+    code = f"import sys, skagree.cli; print([m for m in {slow!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from skagree.ldpc import (
     read_alist,
     write_alist,
 )
+from skagree.ldpc.peg import _bipartite_girth
 
 
 class TestPegConstruct:
@@ -24,6 +25,8 @@ class TestPegConstruct:
         a = peg_construct(60, 0.5, 3, SeededRng(9)).to_dense()
         b = peg_construct(60, 0.5, 3, SeededRng(9)).to_dense()
         assert np.array_equal(a, b)
+        # seed 10 gives the same code with its checks in another order
+        # (test_peg_seeds_only_relabel_checks)
         c = peg_construct(60, 0.5, 3, SeededRng(10)).to_dense()
         assert not np.array_equal(a, c)
 
@@ -73,17 +76,53 @@ def test_peg_golden_hash(n, rate, w_c, seed):
     assert _csr_digest(h) == _GOLDEN[n, rate, w_c, seed]
 
 
-def test_peg_golden_hash_n5000():
-    # the desk code, as ``skagree fer-sim`` builds it from
-    # configs/fer_n5000_desk.json (seed 1234), and the criterion-4 code
-    desk = peg_construct(5000, 0.25, 3, SeededRng(1234).spawn(0))
-    assert _csr_digest(desk) == (
+@pytest.fixture(scope="module")
+def desk_code():
+    # as ``skagree fer-sim`` builds it from configs/fer_n5000_desk.json
+    return peg_construct(5000, 0.25, 3, SeededRng(1234).spawn(0))
+
+
+def test_peg_golden_hash_n5000(desk_code):
+    # the desk code and the criterion-4 code
+    assert _csr_digest(desk_code) == (
         "a441d15c6b5bf6987a91e5b8ca51ca46f3aaaa0f72f8ecd2a69beaf297843d6f"
     )
     criterion_4 = peg_construct(5000, 0.25, 3, SeededRng(42))
     assert _csr_digest(criterion_4) == (
         "2f2eaa7470290759232f871d78215078d94dfa496156b8c5634b3148d58048e3"
     )
+
+
+def _sorted_rows(h):
+    csr = h.to_sparse()
+    return sorted(
+        tuple(csr.indices[lo:hi]) for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:])
+    )
+
+
+@pytest.mark.parametrize("n, rate, w_c, seeds", [
+    (512, 0.25, 3, (9, 10)),
+    (600, 0.15, 4, (3, 4)),
+    (2000, 0.25, 3, (99, 1234)),
+])
+def test_peg_seeds_only_relabel_checks(n, rate, w_c, seeds):
+    """Different seeds order the checks differently and build the same code."""
+    a, b = (peg_construct(n, rate, w_c, SeededRng(seed)) for seed in seeds)
+    assert _csr_digest(a) != _csr_digest(b)
+    assert _sorted_rows(a) == _sorted_rows(b)
+
+
+@pytest.mark.parametrize("n, rate, w_c, seed", sorted(_GOLDEN))
+def test_peg_girth_matches_search(n, rate, w_c, seed):
+    """The girth PEG records while it builds equals the exact search's."""
+    h = peg_construct(n, rate, w_c, SeededRng(seed))
+    assert h.girth() == _bipartite_girth(h.to_sparse())
+
+
+def test_peg_girth_matches_search_n2000_n5000(desk_code):
+    gap_code = peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0))
+    assert gap_code.girth() == _bipartite_girth(gap_code.to_sparse()) == 12
+    assert desk_code.girth() == _bipartite_girth(desk_code.to_sparse()) == 14
 
 
 def _brute_force_girth(dense):
@@ -117,9 +156,9 @@ def _brute_force_girth(dense):
 def test_girth_matches_brute_force():
     for seed in range(6):
         h = peg_construct(20, 0.5, 2, SeededRng(seed))
-        assert h.girth() == _brute_force_girth(h.to_dense())
+        assert h.girth() == _bipartite_girth(h.to_sparse()) == _brute_force_girth(h.to_dense())
     h = peg_construct(24, 0.25, 3, SeededRng(11))
-    assert h.girth() == _brute_force_girth(h.to_dense())
+    assert h.girth() == _bipartite_girth(h.to_sparse()) == _brute_force_girth(h.to_dense())
 
 
 def test_girth_none_for_forest():

@@ -9,6 +9,7 @@ from skagree.ldpc import (
     ParityCheckMatrix,
     SumProductDecoder,
     awgn_qpsk_llrs,
+    decoding_threshold,
     peg_construct,
 )
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
@@ -314,6 +315,42 @@ def test_desk_code_golden_decode():
         assert _decode_digest(*result) == golden[snr_db]
 
 
+def test_gap_code_golden_decode():
+    """The gap-walk code's decodes at the DE threshold and 1 dB either side,
+    with early retirement, keep their sha256 over (bits, converged, iterations)."""
+    h = peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0))
+    decoder = SumProductDecoder(h)
+    center = 10.0 * np.log10(decoding_threshold(3, 4.0))
+    rng = SeededRng(32)
+    golden = {
+        -1.0: "7408742ec60c9c32efdb1f494dffe7ef6204a6efc88499293578b762d6d5082d",
+        0.0: "f131615587192a61b1243bae8b7b6368a464b2251a42410c1dc4ade5cdc0b25a",
+        1.0: "91a877c1ac29a21ba0ac68ea9755d709383bef75bd2da970a2ef4dd83ca002ca",
+    }
+    for point, offset in enumerate((-1.0, 0.0, 1.0)):
+        _, llrs = noisy_llrs(h, center + offset, 32, rng.spawn(point))
+        result = decoder.decode_batch(llrs, max_iter=100)
+        assert _decode_digest(*result) == golden[offset]
+
+
+@pytest.mark.parametrize("slice_frames", [1, 4, None])
+def test_results_do_not_depend_on_slice_size(slice_frames, code512):
+    """Slices of 1, 4 and the default size against one slice of every frame."""
+    decoder = SumProductDecoder(code512)
+    frames = 2 * decoder._slice_frames + 3
+    _, llrs = noisy_llrs(code512, -1.5, frames, SeededRng(15))
+    if slice_frames is not None:
+        decoder._slice_frames = slice_frames
+    whole = SumProductDecoder(code512)
+    whole._slice_frames = frames
+    bits, conv, iters = decoder.decode_batch(llrs, max_iter=40)
+    ref_bits, ref_conv, ref_iters = whole.decode_batch(llrs, max_iter=40)
+    assert 0 < conv.sum() < frames
+    assert np.array_equal(bits, ref_bits)
+    assert np.array_equal(conv, ref_conv)
+    assert np.array_equal(iters, ref_iters)
+
+
 def test_leave_one_out_products_match_log_domain(code512):
     """Tanh-rule products against the oracle's exp(sum of logs), 1e-13 relative.
 
@@ -335,11 +372,11 @@ def test_leave_one_out_products_match_log_domain(code512):
     v2c[(pick >= 0.10) & (pick < 0.15)] = -decoder.clamp
     ref = oracle.leave_one_out(v2c)
     tanh = np.tanh(0.5 * v2c)
-    t = np.empty_like(v2c)
-    t[:, decoder._plane_of_edge] = tanh
+    t = np.empty_like(v2c.T)  # edge-major, as the decoder holds it
+    t[decoder._plane_of_edge] = tanh.T
     out = np.empty_like(t)
     decoder._leave_one_out(t, out)
-    got = out[:, decoder._plane_of_edge]
+    got = out[decoder._plane_of_edge].T
     own_zero = v2c == 0.0
     np.testing.assert_allclose(got[~own_zero], ref[~own_zero], rtol=1e-13, atol=1e-280)
     assert np.any(got == 0.0) and np.all(got[np.abs(ref) < 1e-280] == 0.0)
@@ -359,11 +396,13 @@ def test_posteriors_bit_identical_given_same_check_messages(which, code512):
     rng = np.random.default_rng(6)
     c2v = rng.normal(0.0, 5.0, (8, decoder.n_edges))
     llr = rng.normal(0.0, 3.0, (8, h.n))
-    c = np.zeros((8, decoder.n_edges + 1))
-    c[:, decoder._plane_of_edge] = 0.5 * c2v
-    post = np.empty((8, h.n))
-    decoder._posteriors(0.5 * llr, c, np.empty((8, decoder._var_gather.size)), out=post)
-    assert np.array_equal(2.0 * post, oracle.variable_totals(llr, c2v))
+    # edge-major, as the decoder holds them
+    c = np.zeros((decoder.n_edges + 1, 8))
+    c[decoder._plane_of_edge] = 0.5 * c2v.T
+    post = np.empty((h.n, 8))
+    g = np.empty((decoder._var_gather.size, 8))
+    decoder._posteriors(np.ascontiguousarray(0.5 * llr.T), c, g, out=post)
+    assert np.array_equal(2.0 * post.T, oracle.variable_totals(llr, c2v))
 
 
 def _edge_case(which, code512):
