@@ -12,7 +12,7 @@ from .decoder import DecodeResult, SumProductDecoder
 from .encoder import Gf2Encoder, derive_encoder
 from .modem import awgn_qpsk_llrs
 from .peg import ParityCheckMatrix, peg_construct
-from .scramble import FrameScrambler, descramble, scramble
+from .scramble import FrameScrambler
 from .sim import (
     FerBerEstimate,
     FrameSimulator,

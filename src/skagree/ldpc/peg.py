@@ -92,21 +92,23 @@ class ParityCheckMatrix:
         return self._girth
 
 
+def _padded_neighbors(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """One row per compressed row of a CSR/CSC structure, padded with -1."""
+    deg = np.diff(indptr)
+    adj = np.full((deg.size, max(1, deg.max(initial=0))), -1, dtype=np.int64)
+    row = np.repeat(np.arange(deg.size), deg)
+    slot = np.arange(indices.size) - indptr[row]
+    adj[row, slot] = indices
+    return adj
+
+
 def _adjacency_arrays(csr: sp.csr_matrix):
     """Padded neighbor arrays (fill -1) for both sides of the Tanner graph."""
-    m, n = csr.shape
-    row_deg = np.diff(csr.indptr)
-    check_adj = np.full((m, max(1, row_deg.max(initial=0))), -1, dtype=np.int64)
-    for c in range(m):
-        nbrs = csr.indices[csr.indptr[c]:csr.indptr[c + 1]]
-        check_adj[c, : nbrs.size] = nbrs
     csc = csr.tocsc()
-    col_deg = np.diff(csc.indptr)
-    var_adj = np.full((n, max(1, col_deg.max(initial=0))), -1, dtype=np.int64)
-    for v in range(n):
-        nbrs = csc.indices[csc.indptr[v]:csc.indptr[v + 1]]
-        var_adj[v, : nbrs.size] = nbrs
-    return check_adj, var_adj
+    return (
+        _padded_neighbors(csr.indptr, csr.indices),
+        _padded_neighbors(csc.indptr, csc.indices),
+    )
 
 
 def _bipartite_girth(csr: sp.csr_matrix) -> int | None:
@@ -165,7 +167,18 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
 
     The search runs over check nodes only: two checks are linked once for
     every variable they share, so one breadth-first level of this graph is
-    one check level of the Tanner-graph search from the variable.
+    one check level of the Tanner-graph search from the variable. Each
+    variable keeps one array ``dist`` of every check's distance to the
+    nearest check already on the variable. Its second edge searches from its
+    first check; each later edge searches only from the check placed last
+    and enters a check only where the new level is below the stored
+    distance. The links that the last edge added join two checks at
+    distance 0, so the stored distances stay exact. A level scatters the
+    frontier's links into a dense mask of checks, and a search stops once
+    every check is reached, or once its next level can no longer lower the
+    largest distance. The candidates are the checks at the largest distance
+    (the unreached ones while any remain); one key, degree times ``m`` plus
+    the tie rank, orders them.
     """
     if w_c < 2:
         raise ValueError("column weight must be at least 2")
@@ -176,66 +189,71 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
     if m < w_c:
         raise ValueError(f"only {m} checks available for column weight {w_c}")
 
-    tie_rank = np.empty(m, dtype=np.int64)
-    tie_rank[rng.permutation(m)] = np.arange(m)
+    # unique per check; the least key has the least degree, then the least
+    # tie rank
+    key = np.empty(m, dtype=np.int64)
+    key[rng.permutation(m)] = np.arange(m)
 
     var_adj = np.empty((n, w_c), dtype=np.int64)
-    check_deg = np.zeros(m, dtype=np.int64)
-    # check-to-check links; unused slots hold the sentinel m, whose visited
-    # flag stays set, so gathered rows need no padding filter
+    # check-to-check links; unused slots hold the sentinel m, whose distance
+    # stays 0, so no search enters it
     links = np.full((m, (w_c - 1) * (int(np.ceil(n * w_c / m)) + 1)), m, dtype=np.int64)
-    link_deg = np.zeros(m, dtype=np.int64)
-    visited = np.ones(m + 1, dtype=bool)
-    stamp = np.empty(m, dtype=np.int64)
+    link_deg = [0] * m
+    unreached = m + 1
+    dist = np.zeros(m + 1, dtype=np.int64)
+    check_dist = dist[:m]
+    farther = np.empty(m + 1, dtype=bool)
+    big = np.iinfo(np.int64).max
 
-    def pick(candidates: np.ndarray) -> int:
-        degs = check_deg[candidates]
-        low = candidates[degs == degs.min()]
-        return int(low[np.argmin(tie_rank[low])])
-
-    all_checks = np.arange(m, dtype=np.int64)
     girth: int | None = None
     for v in range(n):
+        placed: list[int] = []
         for k in range(w_c):
-            prior = var_adj[v, :k]
             if k == 0:
-                chosen = pick(all_checks)
+                chosen = int(np.argmin(key))
             else:
-                visited[:m] = False
-                visited[prior] = True
-                reached = k
-                frontier = prior
-                depth = 0
-                while True:
-                    nbrs = links[frontier].ravel()
-                    nbrs = nbrs[~visited[nbrs]]
-                    if nbrs.size == 0:
-                        chosen = pick(np.flatnonzero(~visited[:m]))
-                        break
-                    # keep one copy of each check: the copy whose position
-                    # survives in the stamp array
-                    order = np.arange(nbrs.size)
-                    stamp[nbrs] = order
-                    frontier = nbrs[stamp[nbrs] == order]
-                    visited[frontier] = True
-                    reached += frontier.size
-                    depth += 1
-                    if reached == m:
-                        chosen = pick(frontier)
-                        # the new edge closes a shortest cycle through
-                        # v, a prior check, depth check levels and chosen
-                        if girth is None or 2 * depth + 2 < girth:
-                            girth = 2 * depth + 2
-                        break
-            var_adj[v, k] = chosen
-            check_deg[chosen] += 1
+                source = placed[-1]
+                if k == 1:
+                    check_dist[:] = unreached
+                    reached = 0
+                # an unreached source heads a part of the graph that no
+                # earlier source reaches, all of it unreached; otherwise only
+                # levels below the largest distance can lower a distance
+                stop = m if reached < m else largest - 1
+                if reached < m:
+                    reached += 1
+                dist[source] = 0
+                frontier = np.array([source])
+                level = 0
+                while frontier.size and level < stop:
+                    level += 1
+                    entered = np.zeros(m + 1, dtype=bool)
+                    entered[links.take(frontier, axis=0)] = True
+                    entered &= np.greater(dist, level, out=farther)
+                    frontier = entered.nonzero()[0]
+                    dist[frontier] = level
+                    if reached < m:
+                        reached += frontier.size
+                        if reached == m:
+                            break
+                largest = int(check_dist.max())
+                if reached == m and (girth is None or 2 * largest + 2 < girth):
+                    # the new edge closes a shortest cycle through v, a
+                    # prior check, largest check levels and chosen
+                    girth = 2 * largest + 2
+                chosen = int(np.argmin(np.where(check_dist == largest, key, big)))
+            key[chosen] += m
             if k:
-                if max(link_deg[chosen] + k, link_deg[prior].max() + 1) > links.shape[1]:
+                need = max(link_deg[chosen] + k, *(link_deg[p] + 1 for p in placed))
+                if need > links.shape[1]:
                     links = np.pad(links, ((0, 0), (0, w_c)), constant_values=m)
-                links[chosen, link_deg[chosen]:link_deg[chosen] + k] = prior
+                links[chosen, link_deg[chosen]:link_deg[chosen] + k] = placed
                 link_deg[chosen] += k
-                links[prior, link_deg[prior]] = chosen
-                link_deg[prior] += 1
+                for p in placed:
+                    links[p, link_deg[p]] = chosen
+                    link_deg[p] += 1
+            placed.append(chosen)
+        var_adj[v] = placed
 
     edge_chk = var_adj.ravel()
     edge_var = np.repeat(np.arange(n, dtype=np.int64), w_c)

@@ -6,8 +6,6 @@ after descrambling, which is the property the security argument needs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ..channels import SeededRng
@@ -49,18 +47,3 @@ class FrameScrambler:
             raise ValueError(f"expected frames of {self.length} bits")
         out = gf2.matmul_mod2(arr, mat.T)
         return out[0] if squeeze else out
-
-
-@lru_cache(maxsize=16)
-def _cached(length: int, seed: int) -> FrameScrambler:
-    return FrameScrambler(length, seed)
-
-
-def scramble(bits, seed: int) -> np.ndarray:
-    """Scramble one frame; the matrix is derived from (len(bits), seed)."""
-    return _cached(len(bits), seed).apply(bits)
-
-
-def descramble(bits, seed: int) -> np.ndarray:
-    """Inverse of :func:`scramble` for the same seed."""
-    return _cached(len(bits), seed).invert_bits(bits)

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from skagree.channels import SeededRng
 from skagree.ldpc import (
@@ -47,6 +48,126 @@ class TestPegConstruct:
     def test_design_rate(self):
         h = peg_construct(100, 0.25, 3, SeededRng(2))
         assert h.design_rate == pytest.approx(0.25)
+
+
+def reference_peg_construct(
+    n: int, rate: float, w_c: int, rng: SeededRng
+) -> ParityCheckMatrix:
+    """The multi-source search ``peg_construct`` used before, as the oracle.
+
+    Each edge after a variable's first runs a breadth-first search over the
+    check-to-check links from every check already on the variable,
+    deduplicating each level with a stamp array, and picks by degree, then
+    tie rank, among the checks of the last level once all are reached, or
+    among the unreached ones.
+    """
+    if w_c < 2:
+        raise ValueError("column weight must be at least 2")
+    m_float = n * (1.0 - rate)
+    m = int(round(m_float))
+    if abs(m_float - m) > 1e-9:
+        raise ValueError(f"n*(1-rate) = {m_float} is not an integer")
+    if m < w_c:
+        raise ValueError(f"only {m} checks available for column weight {w_c}")
+
+    tie_rank = np.empty(m, dtype=np.int64)
+    tie_rank[rng.permutation(m)] = np.arange(m)
+
+    var_adj = np.empty((n, w_c), dtype=np.int64)
+    check_deg = np.zeros(m, dtype=np.int64)
+    # check-to-check links; unused slots hold the sentinel m, whose visited
+    # flag stays set, so gathered rows need no padding filter
+    links = np.full((m, (w_c - 1) * (int(np.ceil(n * w_c / m)) + 1)), m, dtype=np.int64)
+    link_deg = np.zeros(m, dtype=np.int64)
+    visited = np.ones(m + 1, dtype=bool)
+    stamp = np.empty(m, dtype=np.int64)
+
+    def pick(candidates: np.ndarray) -> int:
+        degs = check_deg[candidates]
+        low = candidates[degs == degs.min()]
+        return int(low[np.argmin(tie_rank[low])])
+
+    all_checks = np.arange(m, dtype=np.int64)
+    girth: int | None = None
+    for v in range(n):
+        for k in range(w_c):
+            prior = var_adj[v, :k]
+            if k == 0:
+                chosen = pick(all_checks)
+            else:
+                visited[:m] = False
+                visited[prior] = True
+                reached = k
+                frontier = prior
+                depth = 0
+                while True:
+                    nbrs = links[frontier].ravel()
+                    nbrs = nbrs[~visited[nbrs]]
+                    if nbrs.size == 0:
+                        chosen = pick(np.flatnonzero(~visited[:m]))
+                        break
+                    # keep one copy of each check: the copy whose position
+                    # survives in the stamp array
+                    order = np.arange(nbrs.size)
+                    stamp[nbrs] = order
+                    frontier = nbrs[stamp[nbrs] == order]
+                    visited[frontier] = True
+                    reached += frontier.size
+                    depth += 1
+                    if reached == m:
+                        chosen = pick(frontier)
+                        # the new edge closes a shortest cycle through
+                        # v, a prior check, depth check levels and chosen
+                        if girth is None or 2 * depth + 2 < girth:
+                            girth = 2 * depth + 2
+                        break
+            var_adj[v, k] = chosen
+            check_deg[chosen] += 1
+            if k:
+                if max(link_deg[chosen] + k, link_deg[prior].max() + 1) > links.shape[1]:
+                    links = np.pad(links, ((0, 0), (0, w_c)), constant_values=m)
+                links[chosen, link_deg[chosen]:link_deg[chosen] + k] = prior
+                link_deg[chosen] += k
+                links[prior, link_deg[prior]] = chosen
+                link_deg[prior] += 1
+
+    edge_chk = var_adj.ravel()
+    edge_var = np.repeat(np.arange(n, dtype=np.int64), w_c)
+    matrix = sp.csr_matrix(
+        (np.ones(n * w_c, dtype=np.uint8), (edge_chk, edge_var)), shape=(m, n)
+    )
+    h = ParityCheckMatrix(matrix, seed=rng.seed)
+    h._girth = girth
+    return h
+
+
+# w_c 2-6 at rates 0.03-0.9. The tiny-m high-rate codes leave checks
+# unreached longest and spread the degrees least; (100, 0.6, 4) and
+# (160, 0.4, 6) outgrow the initial link capacity.
+@pytest.mark.parametrize("n, rate, w_c", [
+    (20, 0.5, 2),
+    (60, 0.9, 2),
+    (100, 0.5, 2),
+    (40, 0.9, 3),
+    (96, 0.75, 3),
+    (200, 0.25, 3),
+    (50, 0.9, 4),
+    (100, 0.6, 4),
+    (120, 0.5, 4),
+    (50, 0.8, 5),
+    (300, 0.03, 5),
+    (64, 0.875, 6),
+    (160, 0.4, 6),
+    (200, 0.1, 6),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_peg_matches_reference_search(n, rate, w_c, seed):
+    """Same CSR and same recorded girth as the multi-source search."""
+    h = peg_construct(n, rate, w_c, SeededRng(seed))
+    ref = reference_peg_construct(n, rate, w_c, SeededRng(seed))
+    assert np.array_equal(h.to_sparse().indptr, ref.to_sparse().indptr)
+    assert np.array_equal(h.to_sparse().indices, ref.to_sparse().indices)
+    assert h._girth == ref._girth
 
 
 def _csr_digest(h):
