@@ -3,11 +3,14 @@
 
 Builds a rate-1/4, column-weight-3 PEG code, draws noisy all-zero codewords
 (the decoder is symmetric in the codeword) and times the decoder's own
-steps of one iteration on a single slice of frames: the gather of the
+steps of one iteration on a single window of frames: the gather of the
 posteriors onto the check slot planes, the check parity read off that
 gather, the check update (subtract, clip, tanh, leave-one-out products,
 arctanh) and the posteriors (the variable-side gather and the sums). No
-frame retires, so every iteration covers the whole slice. Example:
+frame retires, so every iteration covers the whole window. It then times
+``decode_batch`` end to end over a batch of frames at the same SNR, where
+frames retire and refill their columns, per frame-iteration of the batch.
+Example:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/profile_decoder.py \\
         --n 5000 --snr-db -1.6 --frames 4
@@ -25,6 +28,7 @@ from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 
 RATE, W_C, SEED = 0.25, 3, 1234  # the code of the benchmark's decoder workloads
 ITERS, REPEAT = 20, 5  # iterations per run; each step reports its best run
+MAX_ITER = 100  # the end-to-end decode's iteration limit, as in the benchmark
 STEPS = ("gather to checks", "parity", "check update", "posteriors")
 
 
@@ -55,23 +59,39 @@ def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
     return spent
 
 
-def main() -> int:
+def decode_seconds(decoder: SumProductDecoder, llrs: np.ndarray) -> tuple[float, int]:
+    """Seconds of one ``decode_batch`` call and the frame-iterations it ran."""
+    start = time.perf_counter()
+    _, _, iterations = decoder.decode_batch(llrs, max_iter=MAX_ITER)
+    return time.perf_counter() - start, int(iterations.sum())
+
+
+def noisy_zero_words(h, snr_db: float, frames: int, rng: SeededRng) -> np.ndarray:
+    """Channel LLRs of ``frames`` all-zero codewords."""
+    snr = 10.0 ** (snr_db / 10.0)
+    words = np.zeros((frames, h.n), dtype=np.uint8)
+    noise = rng.complex_normals((frames, (h.n + 1) // 2))
+    return llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, h.n)
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--n", type=int, default=5000, help="code length")
     parser.add_argument("--snr-db", type=float, default=-1.6, help="symbol SNR")
     parser.add_argument("--frames", type=int, default=0,
-                        help="slice size (default: the decoder's own slice)")
-    args = parser.parse_args()
+                        help="window size (default: the decoder's own window)")
+    parser.add_argument("--batch", type=int, default=0,
+                        help="frames decoded end to end (default: 8 windows)")
+    args = parser.parse_args(argv)
 
     rng = SeededRng(SEED)
     h = peg_construct(args.n, RATE, W_C, rng.spawn(0))
     decoder = SumProductDecoder(h)
-    frames = args.frames or decoder._slice_frames
-    snr = 10.0 ** (args.snr_db / 10.0)
-    words = np.zeros((frames, h.n), dtype=np.uint8)
-    noise = rng.spawn(1).complex_normals((frames, (h.n + 1) // 2))
-    llrs = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, h.n)
+    if args.frames:
+        decoder._slice_frames = args.frames
+    frames = decoder._slice_frames
+    llrs = noisy_zero_words(h, args.snr_db, frames, rng.spawn(1))
 
     runs = [profile(decoder, llrs) for _ in range(REPEAT)]
     scale = 1e6 / (ITERS * frames)
@@ -83,6 +103,16 @@ def main() -> int:
         total += best
         print(f"  {step:<18} {best:8.1f} us per frame-iteration")
     print(f"  {'sum of steps':<18} {total:8.1f} us per frame-iteration")
+
+    batch = args.batch or 8 * frames
+    llrs = noisy_zero_words(h, args.snr_db, batch, rng.spawn(2))
+    seconds, frame_iters = min(decode_seconds(decoder, llrs) for _ in range(REPEAT))
+    if frame_iters:
+        print(f"  {'decode_batch':<18} {1e6 * seconds / frame_iters:8.1f} us per "
+              f"frame-iteration ({batch} frames, {frame_iters / batch:.1f} iterations "
+              "each, retirement and refill included)")
+    else:
+        print(f"  {'decode_batch':<18} every one of {batch} frames decoded at the channel")
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .peg import ParityCheckMatrix
 
 _TANH_CEIL = 1.0 - 1e-15
-# Bytes per message array of one slice of frames: frames are decoded a few
+# Bytes per message array of the window of frames: frames are decoded a few
 # at a time, so the decoder's working set does not grow with the batch.
 # 0.5 MiB (4 frames at n=5000, 10 at n=2000) decoded no slower than 1 or
 # 2 MiB on either code.
@@ -45,8 +45,9 @@ class SumProductDecoder:
     The decoder carries half-messages, ``v/2`` into ``tanh`` and
     ``artanh(.) = c/2`` out of it; halving is exact in floating point, so
     this equals the full-message recursion. Message magnitudes are clamped
-    to ``clamp``. Frames are decoded in slices of a few at a time; frames
-    are independent, so the slicing changes no result.
+    to ``clamp``. Frames are decoded in a window of a few columns at a
+    time; frames are independent, so which column holds a frame, and next
+    to which others, changes no result.
 
     A frame is converged once its hard decisions satisfy every check and
     every posterior is nonzero; a bit with an exactly-zero posterior is
@@ -87,6 +88,16 @@ class SumProductDecoder:
         self._var_gather[var_slot, var_of_edge[var_perm]] = self._plane_of_edge[var_perm]
         self._var_gather = self._var_gather.ravel()
         self._slice_frames = max(1, _SLICE_BYTES // (8 * (n_edges + 1)))
+        # Rows where arctanh's argument can reach the ceiling. After the
+        # +-clamp/2 clip, |tanh| <= tanh(clamp/2), and a product of factors
+        # of magnitude <= 1 rounds to no more than its largest factor; so
+        # with tanh(clamp/2) below the ceiling (with a few ulps to spare)
+        # only an empty product, 1.0, can: the degree-1 checks at the tail
+        # of plane 0.
+        if np.tanh(0.5 * clamp) < _TANH_CEIL - 1e-15:
+            self._ceil_rows = slice(int(counts[1]) if counts.size > 1 else 0, m)
+        else:
+            self._ceil_rows = slice(0, n_edges)
 
     def decode(self, llrs, max_iter: int = 100) -> DecodeResult:
         arr = np.asarray(llrs, dtype=float)
@@ -96,59 +107,69 @@ class SumProductDecoder:
         return DecodeResult(bits[0], bool(converged[0]), int(iters[0]))
 
     def decode_batch(self, llrs, max_iter: int = 100):
-        """Decode (batch, n) LLR rows; returns (bits, converged, iterations)."""
+        """Decode (batch, n) LLR rows; returns (bits, converged, iterations).
+
+        Frames whose channel decisions already satisfy every check retire
+        with 0 iterations. The rest are decoded in a window of
+        ``_slice_frames`` columns, each holding one frame and the number of
+        iterations it has run. Each step starts by gathering the posteriors
+        onto the slot planes, which also gives every check's parity for the
+        last iteration's hard decisions, so a column retires there,
+        converged or after ``max_iter`` iterations, and the next queued
+        frame takes its column in place. Once the queue is empty the window
+        narrows as its frames retire.
+        """
         llrs = np.asarray(llrs, dtype=float)
         if llrs.ndim != 2 or llrs.shape[1] != self.h.n:
             raise ValueError(f"expected (batch, n) LLRs with n = {self.h.n}")
         llrs = np.clip(llrs, -self.clamp, self.clamp)
-        batch = llrs.shape[0]
-        bits = np.empty((batch, self.h.n), dtype=np.uint8)
-        converged = np.empty(batch, dtype=bool)
-        iterations = np.empty(batch, dtype=np.int64)
-        for lo in range(0, batch, self._slice_frames):
-            part = slice(lo, lo + self._slice_frames)
-            bits[part], converged[part], iterations[part] = self._decode_slice(
-                llrs[part], max_iter
-            )
-        return bits, converged, iterations
-
-    def _decode_slice(self, llrs: np.ndarray, max_iter: int):
-        """Decode clipped LLR rows; all of them are held in memory at once.
-
-        Each iteration starts by gathering the posteriors onto the slot
-        planes, which also gives every check's parity for the previous
-        iteration's hard decisions, so converged frames retire there with
-        that iteration's count; one more gather judges the last iteration.
-        """
         bits = (llrs < 0).astype(np.uint8)
         converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
             llrs != 0.0, axis=1
         )
         iterations = np.where(converged, 0, max_iter)
-        active = np.flatnonzero(~converged)
-        if active.size == 0 or max_iter == 0:
+        queue = np.flatnonzero(~converged)
+        if queue.size == 0 or max_iter == 0:
             return bits, converged, iterations
 
-        half_llr = np.ascontiguousarray(0.5 * llrs[active].T)
+        width = min(self._slice_frames, queue.size)
+        frame, queue = queue[:width], queue[width:]  # the frame in each column
+        count = np.zeros(width, dtype=np.int64)  # iterations it has run
+        half_llr = np.ascontiguousarray(0.5 * llrs[frame].T)
         post = half_llr.copy()  # half posterior LLRs
-        c = np.zeros((self.n_edges + 1, active.size))
-        t = np.empty((self.n_edges, active.size))
-        g = np.empty((self._var_gather.size, active.size))
+        c = np.zeros((self.n_edges + 1, width))
+        t = np.empty((self.n_edges, width))
+        g = np.empty((self._var_gather.size, width))
         neg = np.empty(t.shape, dtype=bool)
-        for it in range(1, max_iter + 2):
+        while True:
             np.take(post, self._var_of_pos, axis=0, out=t, mode="clip")
-            if it > 1:
-                ok = self._checks_satisfied(t, neg)
-                ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
-                if np.any(ok):
-                    done = active[ok]
-                    bits[done] = post[:, ok].T < 0
-                    converged[done] = True
-                    iterations[done] = it - 1
-                    keep = np.flatnonzero(~ok)
+            done = count == max_iter
+            if count.any():
+                ok = self._checks_satisfied(t, neg) & (count > 0)
+                if ok.any():
+                    ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
+                    converged[frame[ok]] = True
+                    iterations[frame[ok]] = count[ok]
+                    done |= ok
+            if done.any():
+                cols = np.flatnonzero(done)
+                bits[frame[cols]] = post[:, cols].T < 0
+                fill, free = cols[:queue.size], cols[queue.size:]
+                if fill.size:
+                    frame[fill] = queue[:fill.size]
+                    queue = queue[fill.size:]
+                    count[fill] = 0
+                    half = 0.5 * llrs[frame[fill]].T
+                    half_llr[:, fill] = half
+                    c[:, fill] = 0.0
+                    # ``post`` is left: this step writes it before reading it
+                    t[:, fill] = half[self._var_of_pos]
+                if free.size:
+                    done[fill] = False
+                    keep = np.flatnonzero(~done)
                     if keep.size == 0:
                         return bits, converged, iterations
-                    active = active[keep]
+                    frame, count = frame[keep], count[keep]
                     # C-ordered copies of the kept columns, so each plane
                     # stays one block (``a[:, keep]`` would be F-ordered)
                     half_llr, post, c, t = (
@@ -156,12 +177,9 @@ class SumProductDecoder:
                     )
                     g = np.empty((g.shape[0], keep.size))
                     neg = np.empty(t.shape, dtype=bool)
-            if it > max_iter:
-                break
             self._check_update(t, c)
             self._posteriors(half_llr, c, g, out=post)
-        bits[active] = post.T < 0
-        return bits, converged, iterations
+            count += 1
 
     def _checks_satisfied(self, t: np.ndarray, neg: np.ndarray) -> np.ndarray:
         """Per frame, whether the signs gathered in ``t`` satisfy every check.
@@ -187,7 +205,9 @@ class SumProductDecoder:
 
         Each edge's previous check message comes off its posterior, giving the
         clipped half variable-to-check message that the tanh rule takes.
-        ``t`` is used up as work space; the zero slot of ``c`` is kept.
+        Products are clipped below +-1 for arctanh only on the rows where
+        they can reach it (``_ceil_rows``). ``t`` is used up as work space;
+        the zero slot of ``c`` is kept.
         """
         loo = c[:-1]
         np.subtract(t, loo, out=t)
@@ -195,7 +215,8 @@ class SumProductDecoder:
         np.clip(t, -half, half, out=t)
         np.tanh(t, out=t)
         self._leave_one_out(t, loo)
-        np.clip(loo, -_TANH_CEIL, _TANH_CEIL, out=loo)
+        ceil = loo[self._ceil_rows]
+        np.clip(ceil, -_TANH_CEIL, _TANH_CEIL, out=ceil)
         np.arctanh(loo, out=loo)
 
     def _leave_one_out(self, t: np.ndarray, out: np.ndarray) -> None:

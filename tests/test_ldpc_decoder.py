@@ -276,7 +276,8 @@ def test_first_iterations_match_log_domain_oracle(code512):
 
 
 def test_one_syndrome_call_per_slice(code512, monkeypatch):
-    """Convergence after an iteration is read off the decoder's own gather."""
+    """The channel decisions of the whole batch are checked in one call;
+    convergence after an iteration is read off the decoder's own gather."""
     _, llrs = noisy_llrs(code512, -1.5, 11, SeededRng(14))
     decoder = SumProductDecoder(code512)
     decoder._slice_frames = 4
@@ -289,7 +290,7 @@ def test_one_syndrome_call_per_slice(code512, monkeypatch):
 
     monkeypatch.setattr(ParityCheckMatrix, "syndrome", spy)
     _, conv, iters = decoder.decode_batch(llrs, max_iter=40)
-    assert calls == [4, 4, 3]
+    assert calls == [11]
     assert conv.any() and np.all(iters[conv] > 1)
 
 
@@ -333,22 +334,73 @@ def test_gap_code_golden_decode():
         assert _decode_digest(*result) == golden[offset]
 
 
-@pytest.mark.parametrize("slice_frames", [1, 4, None])
+@pytest.mark.parametrize("slice_frames", [1, 3, 4, None, "all"])
 def test_results_do_not_depend_on_slice_size(slice_frames, code512):
-    """Slices of 1, 4 and the default size against one slice of every frame."""
+    """Windows of 1, 3, 4 and the default number of columns, and one column
+    per frame, against a window of every frame.
+
+    Frames that converge at the channel, after several iterations and not
+    within ``max_iter`` are interleaved, so retired columns are refilled
+    mid-batch and the window drains at the end.
+    """
     decoder = SumProductDecoder(code512)
     frames = 2 * decoder._slice_frames + 3
-    _, llrs = noisy_llrs(code512, -1.5, frames, SeededRng(15))
+    words, llrs = noisy_llrs(code512, -1.5, frames, SeededRng(15))
+    llrs[::5] = 20.0 * (1.0 - 2.0 * words[::5])  # noiseless
+    if slice_frames == "all":
+        slice_frames = frames
     if slice_frames is not None:
         decoder._slice_frames = slice_frames
     whole = SumProductDecoder(code512)
     whole._slice_frames = frames
-    bits, conv, iters = decoder.decode_batch(llrs, max_iter=40)
-    ref_bits, ref_conv, ref_iters = whole.decode_batch(llrs, max_iter=40)
-    assert 0 < conv.sum() < frames
+    bits, conv, iters = decoder.decode_batch(llrs, max_iter=20)
+    ref_bits, ref_conv, ref_iters = whole.decode_batch(llrs, max_iter=20)
+    assert np.all(iters[::5] == 0)
+    assert np.any(conv & (iters > 1)) and np.any(~conv)
+    assert np.all(iters[~conv] == 20)
     assert np.array_equal(bits, ref_bits)
     assert np.array_equal(conv, ref_conv)
     assert np.array_equal(iters, ref_iters)
+
+
+@pytest.mark.parametrize("which", ["clamp-40", "degree-1-checks"])
+def test_arctanh_ceiling_clip_where_it_can_bind(which, code512):
+    """The ceiling clip kept only where it can bind changes no result.
+
+    At ``clamp`` 40, tanh(20) rounds to 1.0, so every row keeps the clip;
+    a check of degree 1 has the empty product 1.0 whatever the clamp.
+    Without the clip either case would raise on ``arctanh(1.0)``.
+    """
+    h, clamp, snr_db = code512, 30.0, -1.5
+    if which == "clamp-40":
+        clamp, snr_db = 40.0, -2.5
+    else:
+        units = np.zeros((3, h.n), dtype=np.uint8)
+        units[np.arange(3), [0, 100, 511]] = 1
+        h = ParityCheckMatrix(np.vstack([h.to_dense(), units]))
+    snr = 10 ** (snr_db / 10)
+    words = np.zeros((60, h.n), dtype=np.uint8)
+    noise = SeededRng(23).complex_normals((60, (h.n + 1) // 2))
+    llrs = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, h.n)
+    if which == "clamp-40":
+        # reliable bits past the clamp: their tanh factors round to 1.0
+        llrs[SeededRng(24).uniform(llrs.shape) < 0.1] = 45.0
+    decoder = SumProductDecoder(h, clamp=clamp)
+    every_row = SumProductDecoder(h, clamp=clamp)
+    every_row._ceil_rows = slice(0, every_row.n_edges)
+    with np.errstate(all="raise"):
+        bits, conv, iters = decoder.decode_batch(llrs, max_iter=30)
+        full = every_row.decode_batch(llrs, max_iter=30)
+    assert np.array_equal(bits, full[0])
+    assert np.array_equal(conv, full[1])
+    assert np.array_equal(iters, full[2])
+    ref_bits, ref_conv, ref_iters = LogDomainDecoder(h, clamp).decode_batch(
+        llrs, max_iter=30
+    )
+    assert 0 < ref_conv.sum() < len(llrs)
+    assert np.array_equal(conv[ref_conv], ref_conv[ref_conv])
+    assert np.array_equal(bits[ref_conv], ref_bits[ref_conv])
+    assert np.array_equal(iters[ref_conv], ref_iters[ref_conv])
 
 
 def test_leave_one_out_products_match_log_domain(code512):
