@@ -29,6 +29,7 @@ from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 RATE, W_C, SEED = 0.25, 3, 1234  # the code of the benchmark's decoder workloads
 ITERS, REPEAT = 20, 5  # iterations per run; each step reports its best run
 MAX_ITER = 100  # the end-to-end decode's iteration limit, as in the benchmark
+WINDOWS = 8  # the end-to-end decode's batch, in windows of frames
 STEPS = ("gather to checks", "parity", "check update", "posteriors")
 
 
@@ -81,8 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--snr-db", type=float, default=-1.6, help="symbol SNR")
     parser.add_argument("--frames", type=int, default=0,
                         help="window size (default: the decoder's own window)")
-    parser.add_argument("--batch", type=int, default=0,
-                        help="frames decoded end to end (default: 8 windows)")
     args = parser.parse_args(argv)
 
     rng = SeededRng(SEED)
@@ -104,7 +103,7 @@ def main(argv=None) -> int:
         print(f"  {step:<18} {best:8.1f} us per frame-iteration")
     print(f"  {'sum of steps':<18} {total:8.1f} us per frame-iteration")
 
-    batch = args.batch or 8 * frames
+    batch = WINDOWS * frames
     llrs = noisy_zero_words(h, args.snr_db, batch, rng.spawn(2))
     seconds, frame_iters = min(decode_seconds(decoder, llrs) for _ in range(REPEAT))
     if frame_iters:

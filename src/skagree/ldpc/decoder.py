@@ -129,7 +129,7 @@ class SumProductDecoder:
         )
         iterations = np.where(converged, 0, max_iter)
         queue = np.flatnonzero(~converged)
-        if queue.size == 0 or max_iter == 0:
+        if queue.size == 0 or max_iter <= 0:  # no iteration to run
             return bits, converged, iterations
 
         width = min(self._slice_frames, queue.size)

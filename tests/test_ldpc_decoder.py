@@ -277,7 +277,11 @@ def test_first_iterations_match_log_domain_oracle(code512):
 
 def test_one_syndrome_call_per_slice(code512, monkeypatch):
     """The channel decisions of the whole batch are checked in one call;
-    convergence after an iteration is read off the decoder's own gather."""
+    convergence after an iteration is read off the decoder's own gather.
+
+    "Slice" in the name is historical: frames were once decoded slice by
+    slice, with one call each. The contract is one call per batch.
+    """
     _, llrs = noisy_llrs(code512, -1.5, 11, SeededRng(14))
     decoder = SumProductDecoder(code512)
     decoder._slice_frames = 4
@@ -332,6 +336,18 @@ def test_gap_code_golden_decode():
         _, llrs = noisy_llrs(h, center + offset, 32, rng.spawn(point))
         result = decoder.decode_batch(llrs, max_iter=100)
         assert _decode_digest(*result) == golden[offset]
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_no_iterations_returns_channel_decisions(max_iter, code512):
+    """``max_iter`` of 0 or below runs no iteration: every frame keeps its
+    channel decisions, and those not converged report ``max_iter``."""
+    _, llrs = noisy_llrs(code512, -1.5, 6, SeededRng(16))
+    llrs[0] = 20.0  # the all-zero codeword, converged at the channel
+    bits, conv, iters = SumProductDecoder(code512).decode_batch(llrs, max_iter)
+    assert np.array_equal(bits, llrs < 0)
+    assert conv[0] and not conv[1:].any()
+    assert np.array_equal(iters, np.where(conv, 0, max_iter))
 
 
 @pytest.mark.parametrize("slice_frames", [1, 3, 4, None, "all"])

@@ -10,10 +10,9 @@ def test_profile_decoder_runs_on_a_small_code(capsys):
     spec = importlib.util.spec_from_file_location("profile_decoder", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--n", "512", "--snr-db", "-1.5", "--frames", "4",
-                        "--batch", "16"]) == 0
+    assert script.main(["--n", "512", "--snr-db", "-1.5", "--frames", "4"]) == 0
     out = capsys.readouterr().out
     assert "n=512 m=384 edges=1536 frames=4" in out
     for step in (*script.STEPS, "sum of steps"):
         assert f"  {step} " in out
-    assert "decode_batch" in out and "16 frames" in out
+    assert "decode_batch" in out and "32 frames" in out
