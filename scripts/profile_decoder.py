@@ -34,7 +34,7 @@ STEPS = ("gather to checks", "parity", "check update", "posteriors")
 
 
 def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
-    """Seconds spent in each step over ``ITERS`` iterations of one slice."""
+    """Seconds spent in each step over ``ITERS`` iterations of one window."""
     frames = llrs.shape[0]
     # edge-major state, one column per frame, as the decoder holds it
     half_llr = np.ascontiguousarray(0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp).T)
@@ -88,8 +88,8 @@ def main(argv=None) -> int:
     h = peg_construct(args.n, RATE, W_C, rng.spawn(0))
     decoder = SumProductDecoder(h)
     if args.frames:
-        decoder._slice_frames = args.frames
-    frames = decoder._slice_frames
+        decoder._window_frames = args.frames
+    frames = decoder._window_frames
     llrs = noisy_zero_words(h, args.snr_db, frames, rng.spawn(1))
 
     runs = [profile(decoder, llrs) for _ in range(REPEAT)]

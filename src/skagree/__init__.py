@@ -9,7 +9,7 @@ Subpackages:
   cli       batch experiment runner
 """
 
-from .channels import PdpProfile, SeededRng, exponential_pdp, sample_channel
+from .channels import PdpProfile, SeededRng, exponential_pdp
 from .ofdm import (
     EffectiveChannels,
     ImpulseResponse,

@@ -122,14 +122,6 @@ def exponential_pdp(n_taps: int, gamma_db: float, decay: float = 0.5) -> PdpProf
     return PdpProfile(total * weights / weights.sum(), decay)
 
 
-def sample_channel(pdp: PdpProfile, rng: SeededRng, label: str = "legitimate"):
-    """Draw one channel realization: independent CN(0, p_i) taps."""
-    from .ofdm import ImpulseResponse
-
-    taps = rng.complex_normals(pdp.length) * np.sqrt(pdp.tap_powers)
-    return ImpulseResponse(taps, label)
-
-
 def sample_tap_matrix(pdp: PdpProfile, rng: SeededRng, count: int) -> np.ndarray:
     """Draw ``count`` channel realizations as a (count, length) array."""
     taps = rng.complex_normals((count, pdp.length))

@@ -14,22 +14,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .channels import RNG_ALGORITHM, SeededRng, exponential_pdp
 from .ldpc import decoding_threshold, fer_ber_sim, peg_construct, security_gap
-from .ofdm import (
-    OfdmConfig,
-    demodulator_matrix,
-    modulator_matrix,
-    toeplitz_conv_matrix,
-)
+from .ofdm import OfdmConfig, demodulator_matrix, modulator_matrix, toeplitz_conv_matrix
 from .outage import EigenSpectrum, build_c_matrix, lambda_e_cdf, sk_rate_outage_cdf
 
 
@@ -41,130 +38,87 @@ class NumericalError(RuntimeError):
     """Search or bracketing failure during an experiment; exit code 2."""
 
 
-_COMMON = {
-    "seed": "int, RNG seed (required for every kind)",
-    "out": "str, optional output stem (default: the kind)",
-}
-
-KIND_PARAMS: dict[str, dict[str, dict[str, str]]] = {
-    "diag-check": {
-        "required": {
-            "m": "int, subcarriers",
-            "mu": "int, cyclic-prefix samples",
-            "l_r": "int, legitimate channel taps (<= mu)",
-            "trials": "int, random channels to test",
-        },
-        "optional": {},
-    },
-    "threshold": {
-        "required": {"w_c": "int, column weight"},
-        "optional": {
-            "rate": "float, design rate (gives w_r = w_c/(1-rate))",
-            "w_r": "float, row weight (alternative to rate)",
-            "tol_db": "float dB, bisection width (default 0.05)",
-            "max_iter": "int, density-evolution iterations (default 1000)",
-            "xi_target": "float, divergence declaration level (default 1.0)",
-            "lo_db": "float dB, bottom of the search bracket (default -20)",
-            "hi_db": "float dB, top of the search bracket (default +20)",
-        },
-    },
-    "fer-sim": {
-        "required": {
-            "n": "int, codeword length",
-            "rate": "float, design rate",
-            "w_c": "int, column weight",
-            "snr_db_list": "list of float dB, symbol SNR grid",
-            "max_frames": "int, frame budget per SNR",
-        },
-        "optional": {
-            "target_frame_errors": "int, early-stop error count (default 100)",
-            "max_iter": "int, decoder iterations (default 100)",
-        },
-    },
-    "security-gap": {
-        "required": {
-            "n": "int, codeword length",
-            "rate": "float, design rate",
-            "w_c": "int, column weight",
-            "fer_reliable": "float, FER the legitimate user must reach",
-            "fer_secure": "float, FER the eavesdropper must exceed",
-        },
-        "optional": {
-            "step_db": "float dB, simulation grid step (default 0.2)",
-            "max_frames": "int, frame budget per grid point (default 20000)",
-            "target_frame_errors": "int, early stop per point (default 50)",
-            "max_iter": "int, decoder iterations (default 100)",
-        },
-    },
-    "sk-cdf": {
-        "required": {
-            "m": "int, subcarriers",
-            "mu": "int, cyclic-prefix samples",
-            "l_r": "int, legitimate channel taps (<= mu)",
-            "l_e": "int, eavesdropper channel taps",
-            "gamma_r_db": "float dB, legitimate total channel gain",
-            "gamma_e_db": "float dB, eavesdropper total channel gain",
-            "target_lambda_r_db": "float dB, enforced legitimate SNR",
-            "samples": "int, Monte Carlo draws",
-        },
-        "optional": {"decay": "float nats/tap, PDP decay (default 0.5)"},
-    },
-    "outage-analytic": {
-        "required": {
-            "m": "int, subcarriers",
-            "mu": "int, cyclic-prefix samples",
-            "l_e": "int, eavesdropper channel taps",
-            "gamma_e_db": "float dB, eavesdropper total channel gain",
-            "power": "float linear, transmit power",
-        },
-        "optional": {
-            "decay": "float nats/tap, PDP decay (default 0.5)",
-            "theta_max_db": "float dB, top of the threshold grid (default +10)",
-            "theta_min_db": "float dB, bottom of the grid (default -30)",
-            "points": "int, grid size (default 200)",
-        },
-    },
-}
+REQUIRED = object()  # the default of a key that every config must give
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    params: dict
-    out_stem: str
+class Param(NamedTuple):
+    """One config key of a kind: its type, meaning, default and bounds.
 
-    @classmethod
-    def from_dict(cls, kind: str, raw: dict) -> "ExperimentConfig":
-        if kind not in KIND_PARAMS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
-        spec = KIND_PARAMS[kind]
-        if "seed" not in raw:
-            raise ConfigError("seed required")
-        known = set(spec["required"]) | set(spec["optional"]) | set(_COMMON)
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r} for kind {kind!r}")
-        for key in spec["required"]:
-            if key not in raw:
-                raise ConfigError(f"missing required key {key!r} for kind {kind!r}")
-        if kind == "threshold" and ("rate" in raw) == ("w_r" in raw):
-            raise ConfigError("threshold needs exactly one of 'rate' or 'w_r'")
-        return cls(kind=kind, params=dict(raw), out_stem=raw.get("out", kind))
+    ``type`` is int, float, str or list (a non-empty list of floats). An int
+    key also takes an integral float; no key takes a bool, and no number key
+    a string or a non-finite float. ``default`` is REQUIRED, or None for an
+    optional key with no fixed value. Numbers must lie in ``bounds``, an
+    interval such as "[1, inf)" or "(0, 1)".
+    """
+
+    key: str
+    type: type
+    doc: str
+    default: object = REQUIRED
+    bounds: str | None = None
+
+    def shape(self) -> str:
+        name = "list of float" if self.type is list else self.type.__name__
+        return f"{name} in {self.bounds}" if self.bounds else name
+
+    def resolve(self, raw, kind: str):
+        """``raw`` as this key's type; ConfigError if it is not one in bounds."""
+        if self.type is str:
+            value = raw if isinstance(raw, str) else None
+        elif self.type is list:
+            items = [_number(x, float) for x in raw] if isinstance(raw, list) else []
+            value = items if items and None not in items else None
+        else:
+            value = _number(raw, self.type)
+            if value is not None and self.bounds and not _within(value, self.bounds):
+                value = None
+        if value is None:
+            raise ConfigError(
+                f"key {self.key!r} of kind {kind!r} takes {self.shape()}, not {raw!r}"
+            )
+        return value
 
 
-def describe(kind: str) -> str:
-    """Human-readable parameter schema for one experiment kind."""
-    if kind not in KIND_PARAMS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    spec = KIND_PARAMS[kind]
-    lines = [f"{kind}: parameters (keys ending in _db are dB, others linear)"]
-    for key, doc in spec["required"].items():
-        lines.append(f"  {key:<22} {doc}  [required]")
-    for key, doc in spec["optional"].items():
-        lines.append(f"  {key:<22} {doc}")
-    for key, doc in _COMMON.items():
-        lines.append(f"  {key:<22} {doc}" + ("  [required]" if key == "seed" else ""))
-    return "\n".join(lines)
+def _number(raw, to: type):
+    """``raw`` as a finite ``to`` (int or float), or None if it is not one."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    if isinstance(raw, int):
+        return to(raw) if to is int or abs(raw) <= sys.float_info.max else None
+    return to(raw) if math.isfinite(raw) and (to is float or raw.is_integer()) else None
+
+
+def _within(value, bounds: str) -> bool:
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    return ((lo < value or bounds[0] == "[" and lo == value)
+            and (value < hi or bounds[-1] == "]" and value == hi))
+
+
+# keys that several kinds share
+_OFDM = (
+    Param("m", int, "subcarriers", bounds="[2, inf)"),
+    Param("mu", int, "cyclic-prefix samples", bounds="[1, inf)"),
+)
+_L_R = Param("l_r", int, "legitimate channel taps (<= mu)", bounds="[1, inf)")
+_L_E = Param("l_e", int, "eavesdropper channel taps", bounds="[1, inf)")
+_GAMMA_E = Param("gamma_e_db", float, "dB, eavesdropper total channel gain")
+_DECAY = Param("decay", float, "PDP decay in nats per tap", 0.5, "[0, inf)")
+_W_C = Param("w_c", int, "column weight", bounds="[2, inf)")
+_CODE = (
+    Param("n", int, "codeword length", bounds="[2, inf)"),
+    Param("rate", float, "design rate", bounds="[0, 1)"),
+    _W_C,
+)
+_MAX_ITER = Param("max_iter", int, "decoder or density-evolution iterations", 100, "[0, inf)")
+
+
+def _frame_budget(max_frames, target_frame_errors) -> tuple[Param, ...]:
+    return (
+        Param("max_frames", int, "frame budget per SNR point", max_frames, "[1, inf)"),
+        Param("target_frame_errors", int, "frame errors that end a point early",
+              target_frame_errors, "[1, inf)"),
+        _MAX_ITER,
+    )
 
 
 def _csv_cell(x) -> str:
@@ -199,16 +153,18 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
-def _run_diag_check(cfg: ExperimentConfig, rng: SeededRng):
-    p = cfg.params
-    ofdm = OfdmConfig(subcarriers=int(p["m"]), cp_len=int(p["mu"]))
-    l_r = int(p["l_r"])
-    r_mat = demodulator_matrix(ofdm, l_r)
+def _ofdm(p: dict) -> OfdmConfig:
+    return OfdmConfig(subcarriers=p["m"], cp_len=p["mu"])
+
+
+def _run_diag_check(p: dict, rng: SeededRng, workers: int):
+    ofdm = _ofdm(p)
+    r_mat = demodulator_matrix(ofdm, p["l_r"])
     t_mat = modulator_matrix(ofdm)
     rows = []
     worst_off = worst_diag = 0.0
-    for trial in range(int(p["trials"])):
-        taps = rng.spawn(trial).complex_normals(l_r)
+    for trial in range(p["trials"]):
+        taps = rng.spawn(trial).complex_normals(p["l_r"])
         product = r_mat @ toeplitz_conv_matrix(taps, ofdm.block_len) @ t_mat
         expected = np.fft.fft(taps, n=ofdm.subcarriers)
         off = float(np.max(np.abs(product - np.diag(np.diag(product)))))
@@ -221,31 +177,18 @@ def _run_diag_check(cfg: ExperimentConfig, rng: SeededRng):
     return files, meta
 
 
-def _threshold_profile(p: dict) -> tuple[int, float]:
-    w_c = int(p["w_c"])
-    w_r = float(p["w_r"]) if "w_r" in p else w_c / (1.0 - float(p["rate"]))
-    return w_c, w_r
-
-
-def _run_threshold(cfg: ExperimentConfig, rng: SeededRng):
-    p = cfg.params
-    w_c, w_r = _threshold_profile(p)
-    lam = decoding_threshold(
-        w_c,
-        w_r,
-        tol_db=float(p.get("tol_db", 0.05)),
-        max_iter=int(p.get("max_iter", 1000)),
-        xi_target=float(p.get("xi_target", 1.0)),
-        lo_db=float(p.get("lo_db", -20.0)),
-        hi_db=float(p.get("hi_db", 20.0)),
-    )
+def _run_threshold(p: dict, rng: SeededRng, workers: int):
+    w_c = p["w_c"]
+    w_r = p["w_r"] if p["rate"] is None else w_c / (1.0 - p["rate"])
+    keys = ("tol_db", "max_iter", "xi_target", "lo_db", "hi_db")
+    lam = decoding_threshold(w_c, w_r, **{key: p[key] for key in keys})
     rows = [[w_c, w_r, 10.0 * np.log10(lam)]]
     files = {"csv": (["w_c", "w_r", "lambda_th_db"], rows)}
     return files, {"lambda_th_linear": lam}
 
 
 def _build_code(p: dict, rng: SeededRng):
-    code = peg_construct(int(p["n"]), float(p["rate"]), int(p["w_c"]), rng.spawn(0))
+    code = peg_construct(p["n"], p["rate"], p["w_c"], rng.spawn(0))
     enc = code.encoder()
     meta = {
         "girth": code.girth(),
@@ -258,61 +201,40 @@ def _build_code(p: dict, rng: SeededRng):
     return code, meta
 
 
-def _run_fer_sim(cfg: ExperimentConfig, rng: SeededRng, workers: int):
-    p = cfg.params
+_POINT_HEADER = ["snr_db", "frames", "frame_errors", "bit_errors", "fer", "ber", "ci95"]
+
+
+def _run_fer_sim(p: dict, rng: SeededRng, workers: int):
     code, code_meta = _build_code(p, rng)
     rows = []
     for snr_db in p["snr_db_list"]:
         est = fer_ber_sim(
-            code,
-            10.0 ** (float(snr_db) / 10.0),
-            int(p["max_frames"]),
-            int(p.get("target_frame_errors", 100)),
-            int(p.get("max_iter", 100)),
-            rng.spawn(int(round(float(snr_db) * 1000))),
-            workers=workers,
+            code, 10.0 ** (snr_db / 10.0), p["max_frames"], p["target_frame_errors"],
+            p["max_iter"], rng.spawn(int(round(snr_db * 1000))), workers=workers,
         )
-        rows.append(est.as_csv_row(float(snr_db)))
-    header = ["snr_db", "frames", "frame_errors", "bit_errors", "fer", "ber", "ci95"]
-    return {"csv": (header, rows)}, code_meta
+        rows.append(est.as_csv_row(snr_db))
+    return {"csv": (_POINT_HEADER, rows)}, code_meta
 
 
-def _run_security_gap(cfg: ExperimentConfig, rng: SeededRng, workers: int):
-    p = cfg.params
+def _run_security_gap(p: dict, rng: SeededRng, workers: int):
     code, code_meta = _build_code(p, rng)
-    try:
-        result = security_gap(
-            code,
-            float(p["fer_reliable"]),
-            float(p["fer_secure"]),
-            rng.spawn(1),
-            step_db=float(p.get("step_db", 0.2)),
-            max_frames=int(p.get("max_frames", 20_000)),
-            target_frame_errors=int(p.get("target_frame_errors", 50)),
-            max_iter=int(p.get("max_iter", 100)),
-            workers=workers,
-        )
-    except RuntimeError as exc:
-        raise NumericalError(str(exc)) from exc
-    rows = [[result.secure_snr_db, result.reliable_snr_db, result.gap_db]]
-    files = {"csv": (["lambda_e_db", "lambda_r_db", "gap_db"], rows)}
-    grid_rows = [est.as_csv_row(db) for db, est in result.points]
-    files["grid.csv"] = (
-        ["snr_db", "frames", "frame_errors", "bit_errors", "fer", "ber", "ci95"],
-        grid_rows,
+    keys = ("step_db", "max_frames", "target_frame_errors", "max_iter")
+    result = security_gap(
+        code, p["fer_reliable"], p["fer_secure"], rng.spawn(1), workers=workers,
+        **{key: p[key] for key in keys},
     )
+    rows = [[result.secure_snr_db, result.reliable_snr_db, result.gap_db]]
+    files = {
+        "csv": (["lambda_e_db", "lambda_r_db", "gap_db"], rows),
+        "grid.csv": (_POINT_HEADER, [est.as_csv_row(db) for db, est in result.points]),
+    }
     return files, code_meta
 
 
-def _run_sk_cdf(cfg: ExperimentConfig, rng: SeededRng):
-    p = cfg.params
-    ofdm = OfdmConfig(subcarriers=int(p["m"]), cp_len=int(p["mu"]))
-    decay = float(p.get("decay", 0.5))
-    pdp_r = exponential_pdp(int(p["l_r"]), float(p["gamma_r_db"]), decay)
-    pdp_e = exponential_pdp(int(p["l_e"]), float(p["gamma_e_db"]), decay)
-    cdf = sk_rate_outage_cdf(
-        ofdm, pdp_r, pdp_e, float(p["target_lambda_r_db"]), int(p["samples"]), rng
-    )
+def _run_sk_cdf(p: dict, rng: SeededRng, workers: int):
+    pdp_r = exponential_pdp(p["l_r"], p["gamma_r_db"], p["decay"])
+    pdp_e = exponential_pdp(p["l_e"], p["gamma_e_db"], p["decay"])
+    cdf = sk_rate_outage_cdf(_ofdm(p), pdp_r, pdp_e, p["target_lambda_r_db"], p["samples"], rng)
     files = {}
     for kind, name in (("secret_key", "csv"), ("secrecy", "secrecy.csv")):
         rates, prob = cdf.cdf_points(kind)
@@ -322,27 +244,16 @@ def _run_sk_cdf(cfg: ExperimentConfig, rng: SeededRng):
         )
     meta = {
         "secrecy_curve": "reconstructed comparison curve",
-        "rate_at_outage": {
-            str(q): cdf.rate_at_outage(q) for q in (1e-3, 1e-2, 1e-1)
-        },
-        "decay": decay,
+        "rate_at_outage": {str(q): cdf.rate_at_outage(q) for q in (1e-3, 1e-2, 1e-1)},
     }
     return files, meta
 
 
-def _run_outage_analytic(cfg: ExperimentConfig, rng: SeededRng):
-    p = cfg.params
-    ofdm = OfdmConfig(subcarriers=int(p["m"]), cp_len=int(p["mu"]))
-    pdp = exponential_pdp(
-        int(p["l_e"]), float(p["gamma_e_db"]), float(p.get("decay", 0.5))
-    )
-    form = build_c_matrix(ofdm, pdp, float(p["power"]))
+def _run_outage_analytic(p: dict, rng: SeededRng, workers: int):
+    pdp = exponential_pdp(p["l_e"], p["gamma_e_db"], p["decay"])
+    form = build_c_matrix(_ofdm(p), pdp, p["power"])
     spec = EigenSpectrum.from_matrix(form)
-    grid_db = np.linspace(
-        float(p.get("theta_min_db", -30.0)),
-        float(p.get("theta_max_db", 10.0)),
-        int(p.get("points", 200)),
-    )
+    grid_db = np.linspace(p["theta_min_db"], p["theta_max_db"], p["points"])
     cdf = lambda_e_cdf(10.0 ** (grid_db / 10.0), spec)
     rows = [[float(db), float(c)] for db, c in zip(grid_db, cdf)]
     files = {"csv": (["theta_db", "probability"], rows)}
@@ -350,27 +261,113 @@ def _run_outage_analytic(cfg: ExperimentConfig, rng: SeededRng):
     return files, meta
 
 
+# kind -> (runner, parameters besides seed and out). A runner takes the
+# resolved parameters, the experiment's rng and the worker count, and returns
+# its CSV files by suffix and its metadata.
+KINDS: dict[str, tuple] = {
+    "diag-check": (_run_diag_check, (
+        *_OFDM, _L_R,
+        Param("trials", int, "random channels to test", bounds="[1, inf)"),
+    )),
+    "threshold": (_run_threshold, (
+        _W_C,
+        Param("rate", float, "design rate, gives w_r = w_c/(1-rate)", None, "[0, 1)"),
+        Param("w_r", float, "row weight (give it or rate)", None, "(2, inf)"),
+        Param("tol_db", float, "dB, bisection width", 0.05, "(0, inf)"),
+        _MAX_ITER._replace(default=1000),
+        Param("xi_target", float, "divergence declaration level", 1.0, "(0, inf)"),
+        Param("lo_db", float, "dB, bottom of the search bracket", -20.0),
+        Param("hi_db", float, "dB, top of the search bracket", 20.0),
+    )),
+    "fer-sim": (_run_fer_sim, (
+        *_CODE,
+        Param("snr_db_list", list, "dB, symbol SNR grid"),
+        *_frame_budget(REQUIRED, 100),
+    )),
+    "security-gap": (_run_security_gap, (
+        *_CODE,
+        Param("fer_reliable", float, "FER the legitimate user must reach", bounds="(0, 1)"),
+        Param("fer_secure", float, "FER the eavesdropper must exceed", bounds="(0, 1)"),
+        Param("step_db", float, "dB, simulation grid step", 0.2, "(0, inf)"),
+        *_frame_budget(20_000, 50),
+    )),
+    "sk-cdf": (_run_sk_cdf, (
+        *_OFDM, _L_R, _L_E,
+        Param("gamma_r_db", float, "dB, legitimate total channel gain"),
+        _GAMMA_E,
+        Param("target_lambda_r_db", float, "dB, enforced legitimate SNR"),
+        Param("samples", int, "Monte Carlo draws", bounds="[1, inf)"),
+        _DECAY,
+    )),
+    "outage-analytic": (_run_outage_analytic, (
+        *_OFDM, _L_E, _GAMMA_E,
+        Param("power", float, "linear transmit power", bounds="(0, inf)"),
+        _DECAY,
+        Param("theta_max_db", float, "dB, top of the threshold grid", 10.0),
+        Param("theta_min_db", float, "dB, bottom of the grid", -30.0),
+        Param("points", int, "grid size", 200, "[1, inf)"),
+    )),
+}
+
+
+def _spec(kind: str) -> dict[str, Param]:
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    common = (Param("seed", int, "RNG seed"), Param("out", str, "output file stem", kind))
+    return {param.key: param for param in (*common, *KINDS[kind][1])}
+
+
+@dataclass
+class ExperimentConfig:
+    kind: str
+    params: dict
+
+    @classmethod
+    def from_dict(cls, kind: str, raw) -> "ExperimentConfig":
+        """Validate ``raw`` against the kind's spec; params hold every key resolved."""
+        spec = _spec(kind)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a {kind} config is a JSON object, not {type(raw).__name__}")
+        for key in raw:
+            if key not in spec:
+                raise ConfigError(f"key {key!r} of kind {kind!r} is not one of its parameters")
+        params = {}
+        for key, param in spec.items():
+            if key in raw:
+                params[key] = param.resolve(raw[key], kind)
+            elif param.default is REQUIRED:
+                raise ConfigError(f"key {key!r} of kind {kind!r} is missing: {key} required")
+            else:
+                params[key] = param.default
+        if kind == "threshold" and (params["rate"] is None) == (params["w_r"] is None):
+            raise ConfigError("threshold needs exactly one of 'rate' or 'w_r'")
+        return cls(kind=kind, params=params)
+
+
+def describe(kind: str) -> str:
+    """Each parameter of one experiment kind: type, bounds, meaning and default."""
+    lines = [f"{kind}: parameters (keys ending in _db are dB, others linear)"]
+    for param in _spec(kind).values():
+        tag = {REQUIRED: "required", None: "optional"}.get(
+            param.default, f"default {param.default!r}")
+        lines.append(f"  {param.key:<22} {param.shape()}, {param.doc}  [{tag}]")
+    return "\n".join(lines)
+
+
 def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> list[str]:
-    """Execute one experiment; returns the paths written (CSV + metadata)."""
-    rng = SeededRng(int(cfg.params["seed"]))
+    """Execute one experiment; returns the paths written (CSV + metadata).
+
+    A ValueError from the library is a configuration error (exit 1), a
+    RuntimeError a numerical failure (exit 2).
+    """
+    runner, _ = KINDS[cfg.kind]
     started = time.time()
-    if cfg.kind == "diag-check":
-        files, meta = _run_diag_check(cfg, rng)
-    elif cfg.kind == "threshold":
-        try:
-            files, meta = _run_threshold(cfg, rng)
-        except RuntimeError as exc:
-            raise NumericalError(str(exc)) from exc
-    elif cfg.kind == "fer-sim":
-        files, meta = _run_fer_sim(cfg, rng, workers)
-    elif cfg.kind == "security-gap":
-        files, meta = _run_security_gap(cfg, rng, workers)
-    elif cfg.kind == "sk-cdf":
-        files, meta = _run_sk_cdf(cfg, rng)
-    elif cfg.kind == "outage-analytic":
-        files, meta = _run_outage_analytic(cfg, rng)
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    try:
+        files, meta = runner(cfg.params, SeededRng(cfg.params["seed"]), workers)
+    except RuntimeError as exc:
+        raise NumericalError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     meta_out = {
         "kind": cfg.kind,
@@ -381,11 +378,10 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> list[str
         **meta,
     }
     # render everything first so a failure leaves no partial files behind
-    payloads = {}
+    payloads, stem = {}, cfg.params["out"]
     for suffix, (header, rows) in files.items():
-        name = f"{cfg.out_stem}.{suffix}" if suffix != "csv" else f"{cfg.out_stem}.csv"
-        payloads[name] = _csv_bytes(header, rows)
-    payloads[f"{cfg.out_stem}.meta.json"] = (
+        payloads[f"{stem}.{suffix}"] = _csv_bytes(header, rows)
+    payloads[f"{stem}.meta.json"] = (
         json.dumps(meta_out, indent=2, sort_keys=True) + "\n"
     ).encode()
 
@@ -409,14 +405,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     describe_p = sub.add_parser("describe", help="show parameters for a kind")
     describe_p.add_argument("kind")
-    for kind in KIND_PARAMS:
+    for kind in KINDS:
         kp = sub.add_parser(kind, help=f"run a {kind} experiment")
         kp.add_argument("--config", required=True, help="JSON config file")
         kp.add_argument("--out", default=".", help="output directory")
-        kp.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker processes for frame simulation",
-        )
+        kp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for frame simulation")
     args = parser.parse_args(argv)
 
     try:
@@ -430,7 +424,7 @@ def main(argv=None) -> int:
         for path in written:
             print(path)
         return 0
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -20,7 +20,7 @@ _TANH_CEIL = 1.0 - 1e-15
 # at a time, so the decoder's working set does not grow with the batch.
 # 0.5 MiB (4 frames at n=5000, 10 at n=2000) decoded no slower than 1 or
 # 2 MiB on either code.
-_SLICE_BYTES = 1 << 19
+_WINDOW_BYTES = 1 << 19
 
 
 @dataclass
@@ -87,7 +87,7 @@ class SumProductDecoder:
         self._var_gather = np.full((max(2, col_deg.max()), n), n_edges, dtype=np.int64)
         self._var_gather[var_slot, var_of_edge[var_perm]] = self._plane_of_edge[var_perm]
         self._var_gather = self._var_gather.ravel()
-        self._slice_frames = max(1, _SLICE_BYTES // (8 * (n_edges + 1)))
+        self._window_frames = max(1, _WINDOW_BYTES // (8 * (n_edges + 1)))
         # Rows where arctanh's argument can reach the ceiling. After the
         # +-clamp/2 clip, |tanh| <= tanh(clamp/2), and a product of factors
         # of magnitude <= 1 rounds to no more than its largest factor; so
@@ -111,7 +111,7 @@ class SumProductDecoder:
 
         Frames whose channel decisions already satisfy every check retire
         with 0 iterations. The rest are decoded in a window of
-        ``_slice_frames`` columns, each holding one frame and the number of
+        ``_window_frames`` columns, each holding one frame and the number of
         iterations it has run. Each step starts by gathering the posteriors
         onto the slot planes, which also gives every check's parity for the
         last iteration's hard decisions, so a column retires there,
@@ -132,7 +132,7 @@ class SumProductDecoder:
         if queue.size == 0 or max_iter <= 0:  # no iteration to run
             return bits, converged, iterations
 
-        width = min(self._slice_frames, queue.size)
+        width = min(self._window_frames, queue.size)
         frame, queue = queue[:width], queue[width:]  # the frame in each column
         count = np.zeros(width, dtype=np.int64)  # iterations it has run
         half_llr = np.ascontiguousarray(0.5 * llrs[frame].T)

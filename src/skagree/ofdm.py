@@ -1,7 +1,7 @@
 """Exact matrix model of an OFDM/CP link and the induced wiretap channels.
 
 The dense matrices here are the reference ("oracle") path; structured
-shortcuts such as :func:`eavesdropper_column_energy` are validated against
+shortcuts such as :func:`eavesdropper_column_energies` are validated against
 them in the test suite.
 """
 
@@ -180,8 +180,3 @@ def eavesdropper_column_energies(cfg: OfdmConfig, taps: np.ndarray,
                                  + np.abs(suffix) ** 2, axis=1)
     energy = energy / big_m
     return float(energy[0]) if squeeze else energy
-
-
-def eavesdropper_column_energy(cfg: OfdmConfig, g_eave, subcarrier: int) -> float:
-    """Single-channel convenience wrapper for the batched energy computation."""
-    return eavesdropper_column_energies(cfg, _as_taps(g_eave), subcarrier)

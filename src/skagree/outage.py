@@ -89,22 +89,16 @@ def build_c_matrix(cfg: OfdmConfig, pdp: PdpProfile, power: float) -> QuadraticF
         c = s * D^(1/2) [ sum u_n u_n^T + (N-L+1) 1 1^T + sum v_n v_n^T ] D^(1/2) / M
 
     with u_n (v_n) the indicator of the first n (last L-n) taps and
-    D = diag(tap powers). The construction is validated in distribution
-    against the dense matrix model by the test suite.
+    D = diag(tap powers). Entry (i, j) of the bracket counts
+    min(i, j) + (N-L+1) + (L-1-max(i, j)) = N - |i - j|. The eigenvalues
+    equal those of the dense model's Gram matrix in the test suite.
     """
     n_taps = pdp.length
     if n_taps > cfg.block_len:
         raise ValueError("PDP longer than one OFDM block")
     big_n, big_m = cfg.block_len, cfg.subcarriers
-    core = np.zeros((n_taps, n_taps))
-    core += (big_n - n_taps + 1) * np.ones((n_taps, n_taps))
-    for n in range(1, n_taps):
-        u = np.zeros(n_taps)
-        u[:n] = 1.0
-        core += np.outer(u, u)
-        v = np.zeros(n_taps)
-        v[n:] = 1.0
-        core += np.outer(v, v)
+    idx = np.arange(n_taps)
+    core = big_n - np.abs(idx[:, None] - idx[None, :])
     root = np.sqrt(pdp.tap_powers)
     scale = power / (1.0 + cfg.cp_overhead) / big_m
     c = scale * (root[:, None] * core * root[None, :])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from skagree.channels import PdpProfile, SeededRng, exponential_pdp, sample_channel, sample_tap_matrix
+from skagree.channels import PdpProfile, SeededRng, exponential_pdp, sample_tap_matrix
 
 
 class TestSeededRng:
@@ -56,10 +56,14 @@ class TestExponentialPdp:
 
 class TestSampleChannel:
     def test_fixed_seed_bit_identical(self):
+        # one draw takes the first L variates of the stream, as a lone
+        # channel realization does
         pdp = exponential_pdp(8, -10.0, 0.5)
-        a = sample_channel(pdp, SeededRng(21)).taps
-        b = sample_channel(pdp, SeededRng(21)).taps
+        a = sample_tap_matrix(pdp, SeededRng(21), 1)[0]
+        b = sample_tap_matrix(pdp, SeededRng(21), 1)[0]
         assert np.array_equal(a, b)
+        one = SeededRng(21).complex_normals(pdp.length) * np.sqrt(pdp.tap_powers)
+        assert np.array_equal(a, one)
 
     def test_tap_power_matches_profile(self):
         pdp = exponential_pdp(6, -10.0, 0.4)
@@ -95,8 +99,3 @@ class TestSampleChannel:
                 cross = np.abs(np.mean(taps[:, i] * np.conj(taps[:, j])))
                 limit = 0.02 * np.sqrt(pdp.tap_powers[i] * pdp.tap_powers[j])
                 assert cross < limit
-
-    def test_label_passthrough(self):
-        pdp = exponential_pdp(2, -3.0)
-        ch = sample_channel(pdp, SeededRng(0), label="eavesdropper")
-        assert ch.label == "eavesdropper"

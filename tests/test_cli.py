@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import os
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 
 import skagree
+import skagree.cli
 from skagree.cli import (
-    KIND_PARAMS,
+    KINDS,
+    REQUIRED,
     ConfigError,
     ExperimentConfig,
     _csv_bytes,
@@ -38,7 +42,7 @@ class TestDescribe:
             describe("nonsense")
 
     def test_every_kind_describable(self):
-        for kind in KIND_PARAMS:
+        for kind in KINDS:
             assert describe(kind)
 
 
@@ -64,6 +68,135 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(
                 "threshold", {"seed": 1, "w_c": 3, "rate": 0.25, "w_r": 4.0}
             )
+
+
+# one small valid config per kind
+_VALID = {
+    "diag-check": {"seed": 1, "m": 16, "mu": 4, "l_r": 2, "trials": 3},
+    "threshold": {"seed": 1, "w_c": 3, "rate": 0.25, "tol_db": 0.1},
+    "fer-sim": {"seed": 1, "n": 256, "rate": 0.25, "w_c": 3, "snr_db_list": [1.0],
+                "max_frames": 20, "target_frame_errors": 5, "max_iter": 10},
+    "security-gap": {"seed": 1, "n": 256, "rate": 0.25, "w_c": 3, "fer_reliable": 0.05,
+                     "fer_secure": 0.8},
+    "sk-cdf": {"seed": 1, "m": 64, "mu": 8, "l_r": 8, "l_e": 8, "gamma_r_db": -10.0,
+               "gamma_e_db": -10.0, "target_lambda_r_db": -1.0, "samples": 200},
+    "outage-analytic": {"seed": 1, "m": 64, "mu": 8, "l_e": 8, "gamma_e_db": -10.0,
+                        "power": 2.0},
+}
+
+# (kind, config, the key at fault or None when the fault spans keys)
+_MALFORMED = [
+    ("fer-sim", {"max_iter": -1}, "max_iter"),
+    ("fer-sim", {"n": 256.7}, "n"),
+    ("outage-analytic", {"points": 0}, "points"),
+    ("fer-sim", {"w_c": "abc"}, "w_c"),
+    ("threshold", {"rate": 1.0}, "rate"),
+    ("sk-cdf", {"samples": 0}, "samples"),
+    ("fer-sim", {"max_frames": 0}, "max_frames"),
+    ("fer-sim", {"snr_db_list": 5}, "snr_db_list"),
+    ("outage-analytic", {"power": -2}, "power"),
+    ("sk-cdf", {"l_r": 9}, None),  # l_r > mu, the library's check
+    ("fer-sim", {"max_iter": True}, "max_iter"),
+    ("fer-sim", {"snr_db_list": []}, "snr_db_list"),
+    ("fer-sim", {"snr_db_list": [1.0, "2"]}, "snr_db_list"),
+    ("outage-analytic", {"gamma_e_db": float("nan")}, "gamma_e_db"),
+    ("security-gap", {"fer_secure": 1.0}, "fer_secure"),
+    ("threshold", {"seed": "1"}, "seed"),
+    ("diag-check", {"out": 3}, "out"),
+    ("outage-analytic", {"power": 10**400}, "power"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, override, key", _MALFORMED, ids=[f"{kind}-{reprlib.repr(o)}" for kind, o, _ in _MALFORMED]
+)
+def test_malformed_config_exits_1_and_writes_nothing(tmp_path, capsys, kind, override, key):
+    ExperimentConfig.from_dict(kind, _VALID[kind])
+    cfg = write_config(tmp_path, {**_VALID[kind], **override})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([kind, "--config", cfg, "--out", str(out_dir), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if key is not None:
+        assert f"key {key!r} of kind {kind!r}" in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("body", [b'[{"seed": 1}]', b"{", b"\xff\xfe{"],
+                         ids=["not-an-object", "not-json", "not-utf-8"])
+def test_unreadable_config_exits_1(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(body)
+    assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["fer-sim", "security-gap"])
+def test_zero_decoder_iterations_is_valid(kind):
+    # decode_batch returns the channel decisions for max_iter 0
+    cfg = ExperimentConfig.from_dict(kind, {**_VALID[kind], "max_iter": 0})
+    assert cfg.params["max_iter"] == 0
+
+
+def test_params_are_resolved_and_recorded(tmp_path):
+    raw = {**_VALID["outage-analytic"], "m": 64.0, "power": 2, "points": 5}
+    cfg = ExperimentConfig.from_dict("outage-analytic", raw)
+    assert type(cfg.params["m"]) is int and type(cfg.params["power"]) is float
+    assert cfg.params["decay"] == 0.5 and cfg.params["out"] == "outage-analytic"
+    run(cfg, out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "outage-analytic.meta.json").read_text())
+    assert meta["params"] == cfg.params
+    assert set(meta["params"]) == {"seed", "out"} | {p.key for p in KINDS["outage-analytic"][1]}
+
+
+def test_runtime_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(skagree.cli, "sk_rate_outage_cdf", fail)
+    cfg = write_config(tmp_path, _VALID["sk-cdf"])
+    out_dir = tmp_path / "out"
+    assert main(["sk-cdf", "--config", cfg, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: no convergence")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_describe_shows_the_defaults_that_are_filled_in(kind):
+    lines = {line.split()[0]: line for line in describe(kind).splitlines()[1:]}
+    given = ExperimentConfig.from_dict(kind, _VALID[kind]).params
+    for param in KINDS[kind][1]:
+        assert param.shape() in lines[param.key]
+    for key, value in given.items():
+        if key in _VALID[kind]:
+            continue
+        tag = "[optional]" if value is None else f"[default {value!r}]"
+        assert lines[key].endswith(tag)
+    assert all(lines[p.key].endswith("[required]")
+               for p in KINDS[kind][1] if p.default is REQUIRED)
+
+
+def _anchor_jobs():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_anchor_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_anchor_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DESK + module.FULL
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_anchor_script_runs_every_shipped_config():
+    names = sorted(name for _, name in _anchor_jobs())
+    assert names == sorted(p.name for p in _CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("kind, name", _anchor_jobs())
+def test_shipped_config_is_valid(kind, name):
+    ExperimentConfig.from_dict(kind, json.loads((_CONFIGS / name).read_text()))
 
 
 class TestMain:

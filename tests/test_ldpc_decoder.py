@@ -185,8 +185,8 @@ def test_convergence_implies_zero_syndrome():
 def test_batch_matches_single_frame():
     h = peg_construct(120, 0.25, 3, SeededRng(7))
     decoder = SumProductDecoder(h)
-    decoder._slice_frames = 4
-    frames = 2 * decoder._slice_frames + 3  # two whole slices and a remainder
+    decoder._window_frames = 4
+    frames = 2 * decoder._window_frames + 3  # two whole windows and a remainder
     rng = SeededRng(8)
     enc = h.encoder()
     llr_rows = []
@@ -275,16 +275,12 @@ def test_first_iterations_match_log_domain_oracle(code512):
     assert seen == {0, 1, 2, 3}
 
 
-def test_one_syndrome_call_per_slice(code512, monkeypatch):
+def test_one_syndrome_call_per_batch(code512, monkeypatch):
     """The channel decisions of the whole batch are checked in one call;
-    convergence after an iteration is read off the decoder's own gather.
-
-    "Slice" in the name is historical: frames were once decoded slice by
-    slice, with one call each. The contract is one call per batch.
-    """
+    convergence after an iteration is read off the decoder's own gather."""
     _, llrs = noisy_llrs(code512, -1.5, 11, SeededRng(14))
     decoder = SumProductDecoder(code512)
-    decoder._slice_frames = 4
+    decoder._window_frames = 4
     calls = []
     syndrome = ParityCheckMatrix.syndrome
 
@@ -350,8 +346,8 @@ def test_no_iterations_returns_channel_decisions(max_iter, code512):
     assert np.array_equal(iters, np.where(conv, 0, max_iter))
 
 
-@pytest.mark.parametrize("slice_frames", [1, 3, 4, None, "all"])
-def test_results_do_not_depend_on_slice_size(slice_frames, code512):
+@pytest.mark.parametrize("window_frames", [1, 3, 4, None, "all"])
+def test_results_do_not_depend_on_slice_size(window_frames, code512):
     """Windows of 1, 3, 4 and the default number of columns, and one column
     per frame, against a window of every frame.
 
@@ -360,15 +356,15 @@ def test_results_do_not_depend_on_slice_size(slice_frames, code512):
     mid-batch and the window drains at the end.
     """
     decoder = SumProductDecoder(code512)
-    frames = 2 * decoder._slice_frames + 3
+    frames = 2 * decoder._window_frames + 3
     words, llrs = noisy_llrs(code512, -1.5, frames, SeededRng(15))
     llrs[::5] = 20.0 * (1.0 - 2.0 * words[::5])  # noiseless
-    if slice_frames == "all":
-        slice_frames = frames
-    if slice_frames is not None:
-        decoder._slice_frames = slice_frames
+    if window_frames == "all":
+        window_frames = frames
+    if window_frames is not None:
+        decoder._window_frames = window_frames
     whole = SumProductDecoder(code512)
-    whole._slice_frames = frames
+    whole._window_frames = frames
     bits, conv, iters = decoder.decode_batch(llrs, max_iter=20)
     ref_bits, ref_conv, ref_iters = whole.decode_batch(llrs, max_iter=20)
     assert np.all(iters[::5] == 0)

@@ -9,7 +9,7 @@ from skagree.ofdm import (
     OfdmConfig,
     _receiver_matrix,
     demodulator_matrix,
-    eavesdropper_column_energy,
+    eavesdropper_column_energies,
     effective_channels,
     modulator_matrix,
     toeplitz_conv_matrix,
@@ -159,19 +159,17 @@ class TestEavesdropperColumnEnergy:
             ch = effective_channels(cfg, [1.0], g)
             for m in (0, 9, 31):
                 dense = np.sum(np.abs(ch.eavesdropper_matrix[:, m]) ** 2)
-                fast = eavesdropper_column_energy(cfg, g, m)
+                fast = eavesdropper_column_energies(cfg, g, m)
                 assert abs(dense - fast) < 1e-12 * max(1.0, dense)
 
     def test_batch_agrees_with_scalar(self):
-        from skagree.ofdm import eavesdropper_column_energies
-
         cfg = OfdmConfig(subcarriers=16, cp_len=4)
         rng = SeededRng(3)
         taps = rng.complex_normals((5, 3))
         m_idx = np.array([0, 2, 7, 11, 15])
         batch = eavesdropper_column_energies(cfg, taps, m_idx)
         singles = [
-            eavesdropper_column_energy(cfg, taps[i], int(m_idx[i])) for i in range(5)
+            eavesdropper_column_energies(cfg, taps[i], int(m_idx[i])) for i in range(5)
         ]
         assert np.allclose(batch, singles, rtol=1e-13)
 

@@ -68,6 +68,45 @@ class TestBuildCMatrix:
             other = simulate_lambda_e(cfg, pdp, 1.0, m, n, SeededRng(100 + m))
             assert stats.ks_2samp(base, other).pvalue > 0.01
 
+    @pytest.mark.parametrize("m, mu, n_taps, decay, gain_db", [
+        (16, 4, 1, 0.0, -10.0), (64, 8, 8, 0.5, -10.0), (64, 8, 17, 3.0, 3.0),
+        (256, 16, 48, 0.25, -3.0), (1024, 32, 96, 1.0, 0.0),
+    ])
+    def test_toeplitz_core_equals_rank_one_sum(self, m, mu, n_taps, decay, gain_db):
+        # the prefix/suffix rank-one sum the closed form N - |i - j| replaces;
+        # every entry is a small exact integer, so the two agree bit for bit
+        cfg = OfdmConfig(subcarriers=m, cp_len=mu)
+        pdp = exponential_pdp(n_taps, gain_db, decay)
+        core = (cfg.block_len - n_taps + 1) * np.ones((n_taps, n_taps))
+        for n in range(1, n_taps):
+            u = np.zeros(n_taps)
+            u[:n] = 1.0
+            core += np.outer(u, u) + np.outer(1.0 - u, 1.0 - u)
+        root = np.sqrt(pdp.tap_powers)
+        scale = 1.3 / (1.0 + cfg.cp_overhead) / m
+        expected = scale * (root[:, None] * core * root[None, :])
+        assert np.array_equal(build_c_matrix(cfg, pdp, 1.3).c, expected)
+
+    @pytest.mark.parametrize("subcarrier", [0, 9, 63])
+    def test_eigenvalues_match_dense_gram_matrix(self, subcarrier):
+        # lambda_e = s ||sum_l g_l h_l||^2 with h_l the eavesdropper column for
+        # a unit tap at delay l; with g = D^(1/2) gamma its Gram matrix is
+        # s D^(1/2) H^H H D^(1/2), which is C up to a diagonal phase
+        cfg = OfdmConfig(subcarriers=64, cp_len=8)
+        pdp = exponential_pdp(11, -10.0, 0.4)
+        power = 2.5
+        h = np.column_stack([
+            effective_channels(cfg, [1.0], np.eye(pdp.length)[l]).eavesdropper_matrix[
+                :, subcarrier]
+            for l in range(pdp.length)
+        ])
+        root = np.sqrt(pdp.tap_powers)
+        gram = power / (1.0 + cfg.cp_overhead) * (
+            root[:, None] * (h.conj().T @ h) * root[None, :])
+        dense = np.linalg.eigvalsh(gram)
+        closed = np.linalg.eigvalsh(build_c_matrix(cfg, pdp, power).c)
+        assert np.max(np.abs(closed - dense)) <= 1e-12 * dense.max()
+
     def test_rejects_overlong_pdp(self):
         cfg = OfdmConfig(subcarriers=4, cp_len=2)
         with pytest.raises(ValueError):
