@@ -2,7 +2,8 @@
 """Per-step cost of the sum-product decoder, in us per frame-iteration.
 
 Builds a rate-1/4, column-weight-3 PEG code, draws noisy all-zero codewords
-(the decoder is symmetric in the codeword) and times the decoder's own
+(the decoder is symmetric in the codeword) and times, in the message dtype
+the frame simulator decodes in (``sim.MESSAGE_DTYPE``), the decoder's own
 steps of one iteration on a single window of frames: the gather of the
 posteriors onto the check slot planes, the check parity read off that
 gather, the check update (subtract, clip, tanh, leave-one-out products,
@@ -25,6 +26,7 @@ import numpy as np
 from skagree.channels import SeededRng
 from skagree.ldpc import SumProductDecoder, peg_construct
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
+from skagree.ldpc.sim import MESSAGE_DTYPE
 
 RATE, W_C, SEED = 0.25, 3, 1234  # the code of the benchmark's decoder workloads
 ITERS, REPEAT = 20, 5  # iterations per run; each step reports its best run
@@ -35,13 +37,14 @@ STEPS = ("gather to checks", "parity", "check update", "posteriors")
 
 def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
     """Seconds spent in each step over ``ITERS`` iterations of one window."""
-    frames = llrs.shape[0]
+    frames, dtype = llrs.shape[0], decoder.dtype
     # edge-major state, one column per frame, as the decoder holds it
-    half_llr = np.ascontiguousarray(0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp).T)
+    half_llr = np.ascontiguousarray(
+        0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp).T, dtype=dtype)
     post = half_llr.copy()
-    c = np.zeros((decoder.n_edges + 1, frames))
-    t = np.empty((decoder.n_edges, frames))
-    g = np.empty((decoder._var_gather.size, frames))
+    c = np.zeros((decoder.n_edges + 1, frames), dtype=dtype)
+    t = np.empty((decoder.n_edges, frames), dtype=dtype)
+    g = np.empty((decoder._var_gather.size, frames), dtype=dtype)
     neg = np.empty(t.shape, dtype=bool)
     spent = Counter()
     clock = time.perf_counter
@@ -86,7 +89,7 @@ def main(argv=None) -> int:
 
     rng = SeededRng(SEED)
     h = peg_construct(args.n, RATE, W_C, rng.spawn(0))
-    decoder = SumProductDecoder(h)
+    decoder = SumProductDecoder(h, dtype=MESSAGE_DTYPE)
     if args.frames:
         decoder._window_frames = args.frames
     frames = decoder._window_frames
@@ -95,7 +98,7 @@ def main(argv=None) -> int:
     runs = [profile(decoder, llrs) for _ in range(REPEAT)]
     scale = 1e6 / (ITERS * frames)
     print(f"n={h.n} m={h.num_checks} edges={decoder.n_edges} frames={frames} "
-          f"snr_db={args.snr_db} iters={ITERS} best of {REPEAT}")
+          f"dtype={decoder.dtype} snr_db={args.snr_db} iters={ITERS} best of {REPEAT}")
     total = 0.0
     for step in STEPS:
         best = scale * min(run[step] for run in runs)

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .channels import RNG_ALGORITHM, SeededRng, exponential_pdp
 from .ldpc import decoding_threshold, fer_ber_sim, peg_construct, security_gap
+from .ldpc.sim import MESSAGE_DTYPE
 from .ofdm import OfdmConfig, demodulator_matrix, modulator_matrix, toeplitz_conv_matrix
 from .outage import EigenSpectrum, build_c_matrix, lambda_e_cdf, sk_rate_outage_cdf
 
@@ -197,6 +198,10 @@ def _build_code(p: dict, rng: SeededRng):
         "row_weight_histogram": {
             int(w): int(c) for w, c in zip(*np.unique(code.row_weights(), return_counts=True))
         },
+        # the simulated frames' outcomes depend on the decoder's message
+        # precision and, in float32, on numpy's tanh and arctanh
+        "decoder_dtype": MESSAGE_DTYPE.name,
+        "numpy_version": np.__version__,
     }
     return code, meta
 

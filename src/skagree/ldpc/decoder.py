@@ -5,6 +5,11 @@ The check update is the tanh rule: each check-to-variable message is
 That leave-one-out product is the prefix product times the suffix product
 across the check's slots, so an exactly-zero message simply zeroes the
 products of the other edges; no log, exp or division is involved.
+
+Messages are float64 by default, the reference kernel that the tests pin
+bit for bit. The same kernel runs in float32 (``dtype=np.float32``), as the
+frame simulator uses it: there the arctanh ceiling is 1 - 2**-24, which caps
+a half check message near 8.66 (a full LLR of about 17.3), below ``clamp``.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ import numpy as np
 
 from .peg import ParityCheckMatrix
 
-_TANH_CEIL = 1.0 - 1e-15
+# Distance of arctanh's ceiling below 1; in float32 1 - 1e-15 rounds to 1,
+# so there the ceiling is the largest float below 1.
+_TANH_MARGIN = 1e-15
 # Bytes per message array of the window of frames: frames are decoded a few
 # at a time, so the decoder's working set does not grow with the batch.
-# 0.5 MiB (4 frames at n=5000, 10 at n=2000) decoded no slower than 1 or
-# 2 MiB on either code.
+# 0.5 MiB holds 8 frames at n=5000 and 21 at n=2000 in float32 (half as
+# many in float64); in float32 it decoded about as fast as 1 MiB and faster
+# than 0.25 MiB on both codes.
 _WINDOW_BYTES = 1 << 19
 
 
@@ -45,7 +53,9 @@ class SumProductDecoder:
     The decoder carries half-messages, ``v/2`` into ``tanh`` and
     ``artanh(.) = c/2`` out of it; halving is exact in floating point, so
     this equals the full-message recursion. Message magnitudes are clamped
-    to ``clamp``. Frames are decoded in a window of a few columns at a
+    to ``clamp``. Messages are held in ``dtype``; channel LLRs are clipped
+    to ``clamp`` in float64 first, so the decisions and convergence flags
+    of frames that converge at the channel do not depend on it. Frames are decoded in a window of a few columns at a
     time; frames are independent, so which column holds a frame, and next
     to which others, changes no result.
 
@@ -55,11 +65,15 @@ class SumProductDecoder:
     even though the arbitrary all-zero decision would pass the syndrome.
     """
 
-    def __init__(self, h: ParityCheckMatrix, clamp: float = 30.0):
+    def __init__(self, h: ParityCheckMatrix, clamp: float = 30.0,
+                 dtype=np.float64):
         if not isinstance(h, ParityCheckMatrix):
             h = ParityCheckMatrix(h)
         self.h = h
         self.clamp = clamp
+        self.dtype = dtype = np.dtype(dtype)
+        eps = np.finfo(dtype).epsneg
+        self._tanh_ceil = dtype.type(1.0 - max(_TANH_MARGIN, eps))
         chk_of_edge, var_of_edge = h.tanner_edges()
         row_deg = h.row_weights()
         col_deg = h.col_weights()
@@ -87,14 +101,15 @@ class SumProductDecoder:
         self._var_gather = np.full((max(2, col_deg.max()), n), n_edges, dtype=np.int64)
         self._var_gather[var_slot, var_of_edge[var_perm]] = self._plane_of_edge[var_perm]
         self._var_gather = self._var_gather.ravel()
-        self._window_frames = max(1, _WINDOW_BYTES // (8 * (n_edges + 1)))
+        self._window_frames = max(1, _WINDOW_BYTES // (dtype.itemsize * (n_edges + 1)))
         # Rows where arctanh's argument can reach the ceiling. After the
         # +-clamp/2 clip, |tanh| <= tanh(clamp/2), and a product of factors
         # of magnitude <= 1 rounds to no more than its largest factor; so
         # with tanh(clamp/2) below the ceiling (with a few ulps to spare)
         # only an empty product, 1.0, can: the degree-1 checks at the tail
-        # of plane 0.
-        if np.tanh(0.5 * clamp) < _TANH_CEIL - 1e-15:
+        # of plane 0. In float32 tanh(15) is 1.0, so at the default clamp
+        # every row keeps the clip.
+        if np.tanh(dtype.type(0.5 * clamp)) < self._tanh_ceil - dtype.type(4 * eps):
             self._ceil_rows = slice(int(counts[1]) if counts.size > 1 else 0, m)
         else:
             self._ceil_rows = slice(0, n_edges)
@@ -122,7 +137,9 @@ class SumProductDecoder:
         llrs = np.asarray(llrs, dtype=float)
         if llrs.ndim != 2 or llrs.shape[1] != self.h.n:
             raise ValueError(f"expected (batch, n) LLRs with n = {self.h.n}")
+        # clipped in float64; the messages take ``dtype`` from here on
         llrs = np.clip(llrs, -self.clamp, self.clamp)
+        dtype = self.dtype
         bits = (llrs < 0).astype(np.uint8)
         converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
             llrs != 0.0, axis=1
@@ -135,11 +152,11 @@ class SumProductDecoder:
         width = min(self._window_frames, queue.size)
         frame, queue = queue[:width], queue[width:]  # the frame in each column
         count = np.zeros(width, dtype=np.int64)  # iterations it has run
-        half_llr = np.ascontiguousarray(0.5 * llrs[frame].T)
+        half_llr = np.ascontiguousarray(0.5 * llrs[frame].T, dtype=dtype)
         post = half_llr.copy()  # half posterior LLRs
-        c = np.zeros((self.n_edges + 1, width))
-        t = np.empty((self.n_edges, width))
-        g = np.empty((self._var_gather.size, width))
+        c = np.zeros((self.n_edges + 1, width), dtype=dtype)
+        t = np.empty((self.n_edges, width), dtype=dtype)
+        g = np.empty((self._var_gather.size, width), dtype=dtype)
         neg = np.empty(t.shape, dtype=bool)
         while True:
             np.take(post, self._var_of_pos, axis=0, out=t, mode="clip")
@@ -159,7 +176,7 @@ class SumProductDecoder:
                     frame[fill] = queue[:fill.size]
                     queue = queue[fill.size:]
                     count[fill] = 0
-                    half = 0.5 * llrs[frame[fill]].T
+                    half = 0.5 * llrs[frame[fill]].T  # cast on assignment
                     half_llr[:, fill] = half
                     c[:, fill] = 0.0
                     # ``post`` is left: this step writes it before reading it
@@ -175,7 +192,7 @@ class SumProductDecoder:
                     half_llr, post, c, t = (
                         np.take(a, keep, axis=1) for a in (half_llr, post, c, t)
                     )
-                    g = np.empty((g.shape[0], keep.size))
+                    g = np.empty((g.shape[0], keep.size), dtype=dtype)
                     neg = np.empty(t.shape, dtype=bool)
             self._check_update(t, c)
             self._posteriors(half_llr, c, g, out=post)
@@ -216,7 +233,7 @@ class SumProductDecoder:
         np.tanh(t, out=t)
         self._leave_one_out(t, loo)
         ceil = loo[self._ceil_rows]
-        np.clip(ceil, -_TANH_CEIL, _TANH_CEIL, out=ceil)
+        np.clip(ceil, -self._tanh_ceil, self._tanh_ceil, out=ceil)
         np.arctanh(loo, out=loo)
 
     def _leave_one_out(self, t: np.ndarray, out: np.ndarray) -> None:

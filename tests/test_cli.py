@@ -342,6 +342,21 @@ class TestRunKinds:
         assert (tmp_path / "gap.grid.csv").exists()
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("fer-sim", {"snr_db_list": [1.0]}),
+    ("security-gap", {"fer_reliable": 0.05, "fer_secure": 0.8, "step_db": 0.5}),
+])
+def test_ldpc_sidecar_records_decoder_precision(tmp_path, kind, extra):
+    """CSV bodies of the LDPC kinds depend on the decoder's message dtype
+    and numpy's float32 transcendentals, so the sidecar names both."""
+    params = {"seed": 3, "n": 256, "rate": 0.25, "w_c": 3, "max_frames": 40,
+              "target_frame_errors": 20, "max_iter": 20, "out": "x", **extra}
+    run(ExperimentConfig.from_dict(kind, params), out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "x.meta.json").read_text())
+    assert meta["decoder_dtype"] == "float32"
+    assert meta["numpy_version"] == np.__version__
+
+
 def test_rerun_byte_identical(tmp_path):
     payload = {
         "seed": 11,

@@ -13,7 +13,7 @@ from skagree.ldpc import (
     peg_construct,
 )
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
-from skagree.ldpc.sim import wilson_halfwidth
+from skagree.ldpc.sim import MESSAGE_DTYPE, FrameSimulator, wilson_halfwidth
 
 # (7,4) Hamming code parity checks
 HAMMING_H = np.array(
@@ -511,3 +511,108 @@ def test_floating_point_edge_cases(which, code512):
         assert not conv.any() and np.all(iters == 30)
     else:
         assert conv.any()
+
+
+# float32 kernel, as the frame simulator runs it. It rounds differently
+# from the float64 reference, so it is held to the oracle statistically,
+# not bit for bit; numpy's float32 tanh may differ between CPUs, so no
+# float32 decode is pinned by a digest.
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(code512):
+    """The oracle test's 2 001 frames: (snr_db, words, llrs, oracle decode)."""
+    oracle = LogDomainDecoder(code512)
+    rng = SeededRng(11)
+    corpus = []
+    for point, snr_db in enumerate((-2.5, -1.5, -0.5)):
+        words, llrs = noisy_llrs(code512, snr_db, 667, rng.spawn(point))
+        corpus.append((snr_db, words, llrs, oracle.decode_batch(llrs, max_iter=40)))
+    return corpus
+
+
+def test_float32_kernel_against_log_domain_oracle(code512, oracle_corpus):
+    """The float32 kernel on the oracle test's corpus.
+
+    Frames that both converge get the same bits; at the two SNRs with
+    intermediate FER the float32 FER lies in the oracle's 95% Wilson
+    interval; no converged frame violates the dense parity checks.
+    """
+    decoder = SumProductDecoder(code512, dtype=np.float32)
+    dense = code512.to_dense().astype(np.int64)
+    for snr_db, words, llrs, (ref_bits, ref_conv, _) in oracle_corpus:
+        bits, conv, iters = decoder.decode_batch(llrs, max_iter=40)
+        assert bits.dtype == np.uint8 and conv.dtype == bool
+        assert iters.dtype == np.int64
+        both = conv & ref_conv
+        assert both.any()
+        assert np.array_equal(bits[both], ref_bits[both])
+        assert not np.any(dense @ bits[conv].T % 2)
+        errors = int(np.any(bits != words, axis=1).sum())
+        ref_errors = int(np.any(ref_bits != words, axis=1).sum())
+        if snr_db < -1.0:
+            assert 0 < ref_errors < len(words)
+            halfwidth = wilson_halfwidth(ref_errors, len(words))
+            assert abs(errors - ref_errors) / len(words) <= halfwidth
+
+
+def test_float32_ceiling_and_window(code512):
+    """In float32, arctanh's ceiling is 1 - 2**-24 and binds on every row
+    (tanh(15) rounds to 1.0), half check messages stay within its arctanh
+    (about 8.66), and the window holds twice the float64 window's frames."""
+    decoder = SumProductDecoder(code512, dtype=np.float32)
+    reference = SumProductDecoder(code512)
+    assert decoder.dtype == np.float32 and reference.dtype == np.float64
+    assert decoder._tanh_ceil == np.float32(1.0 - 2.0**-24)
+    assert reference._tanh_ceil == 1.0 - 1e-15
+    assert decoder._ceil_rows == slice(0, decoder.n_edges)
+    assert reference._ceil_rows != slice(0, reference.n_edges)
+    edges = decoder.n_edges + 1
+    assert decoder._window_frames == (1 << 19) // (4 * edges)
+    assert reference._window_frames == (1 << 19) // (8 * edges)
+    # half posteriors at +-clamp/2: every factor rounds to +-1.0
+    signs = np.where(SeededRng(17).uniform((edges - 1, 8)) < 0.5, -1.0, 1.0)
+    t = (0.5 * decoder.clamp * signs).astype(np.float32)
+    c = np.zeros((edges, 8), dtype=np.float32)
+    with np.errstate(all="raise"):
+        decoder._check_update(t, c)
+    cap = np.arctanh(decoder._tanh_ceil)
+    assert 8.66 < cap < 8.67 < 0.5 * decoder.clamp
+    assert c.dtype == np.float32 and np.all(np.abs(c[:-1]) == cap)
+
+
+@pytest.mark.parametrize("which", ["all-zero", "clamp", "zeros", "hamming", "peg-3-4-5"])
+def test_float32_floating_point_edge_cases(which, code512):
+    """The float32 kernel raises no floating-point error on the edge cases,
+    and frames that both it and the oracle converge get the same bits."""
+    h, llrs = _edge_case(which, code512)
+    decoder = SumProductDecoder(h, dtype=np.float32)
+    with np.errstate(all="raise"):
+        bits, conv, iters = decoder.decode_batch(llrs, max_iter=30)
+    ref_bits, ref_conv, _ = LogDomainDecoder(h).decode_batch(llrs, max_iter=30)
+    both = conv & ref_conv
+    assert np.array_equal(bits[both], ref_bits[both])
+    assert not h.syndrome(bits[conv]).any()
+    if which == "all-zero":
+        assert not conv.any() and np.all(iters == 30)
+    else:
+        assert both.any()
+
+
+def test_simulator_decoder_never_converges_to_noncodeword():
+    """Criterion 7b for the decoder the frame simulator runs: 10 000 noisy
+    frames at three SNRs, and no converged frame violates the dense H."""
+    code = peg_construct(512, 0.25, 3, SeededRng(7))
+    decoder = FrameSimulator(code, scramble_seed=7).decoder
+    assert decoder.dtype == MESSAGE_DTYPE == np.float32
+    dense = code.to_dense().astype(np.int64)
+    rng = SeededRng(778)
+    converged = violations = 0
+    for block in range(20):
+        snr_db = (-4.0, -2.0, 0.0)[block % 3]
+        _, llrs = noisy_llrs(code, snr_db, 500, rng.spawn(block))
+        bits, conv, _ = decoder.decode_batch(llrs, max_iter=40)
+        converged += int(conv.sum())
+        violations += int(np.any(dense @ bits[conv].T % 2, axis=0).sum())
+    assert 0 < converged < 10_000
+    assert violations == 0

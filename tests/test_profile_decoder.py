@@ -13,6 +13,7 @@ def test_profile_decoder_runs_on_a_small_code(capsys):
     assert script.main(["--n", "512", "--snr-db", "-1.5", "--frames", "4"]) == 0
     out = capsys.readouterr().out
     assert "n=512 m=384 edges=1536 frames=4" in out
+    assert " dtype=float32 " in out  # the simulator's message dtype
     for step in (*script.STEPS, "sum of steps"):
         assert f"  {step} " in out
     assert "decode_batch" in out and "32 frames" in out

@@ -1,12 +1,14 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from skagree.channels import SeededRng
 from skagree.ldpc import fer_ber_sim, peg_construct, security_gap
 from skagree.ldpc.scramble import FrameScrambler
 import skagree.ldpc.sim as sim_module
+from skagree.ldpc.decoder import SumProductDecoder
 from skagree.ldpc.sim import FrameSimulator, wilson_halfwidth
 
 
@@ -182,6 +184,38 @@ def test_worker_count_does_not_change_result(small_code):
     a = fer_ber_sim(small_code, 10 ** (-0.2), 64, 64, 25, SeededRng(7), workers=1)
     b = fer_ber_sim(small_code, 10 ** (-0.2), 64, 64, 25, SeededRng(7), workers=2)
     assert a == b
+
+
+def test_streams_of_one_seed_draw_different_frames(small_code, monkeypatch):
+    """Frame i comes from ``rng.spawn(i)`` of the rng given, stream and all:
+    two streams of one seed decode different frames under one scrambler,
+    and the same stream decodes the same frames again."""
+    received = []
+    inner = SumProductDecoder.decode_batch
+
+    def spy(self, llrs, *args):
+        received.append(np.array(llrs))
+        return inner(self, llrs, *args)
+
+    monkeypatch.setattr(SumProductDecoder, "decode_batch", spy)
+    kwargs = dict(max_frames=8, target_frame_errors=8, max_iter=5)
+    for rng in (SeededRng(7).spawn(1), SeededRng(7).spawn(2), SeededRng(7).spawn(1)):
+        fer_ber_sim(small_code, 10 ** (-0.15), rng=rng, **kwargs)
+        assert small_code._simulator.scrambler.seed == 7
+    first, second, again = received
+    assert first.shape == second.shape == (8, small_code.n)
+    assert not np.any(np.all(first == second, axis=1))
+    assert np.array_equal(first, again)
+
+
+def test_worker_processes_draw_from_the_given_stream(small_code):
+    kwargs = dict(max_frames=64, target_frame_errors=64, max_iter=25)
+    rng = SeededRng(7).spawn(1)
+    pooled = fer_ber_sim(small_code, 10 ** (-0.2), rng=rng, workers=2, **kwargs)
+    assert pooled == fer_ber_sim(small_code, 10 ** (-0.2), rng=rng, **kwargs)
+    other = fer_ber_sim(small_code, 10 ** (-0.2), rng=SeededRng(7).spawn(2), **kwargs)
+    assert 0 < pooled.frame_errors < 64
+    assert other.bit_errors != pooled.bit_errors
 
 
 def test_wilson_halfwidth_known_value():
