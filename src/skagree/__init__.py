@@ -12,7 +12,6 @@ Subpackages:
 from .channels import PdpProfile, SeededRng, exponential_pdp
 from .ofdm import (
     EffectiveChannels,
-    ImpulseResponse,
     OfdmConfig,
     demodulator_matrix,
     effective_channels,

@@ -8,9 +8,8 @@ from .de import (
     psi,
     psi_inv,
 )
-from .decoder import DecodeResult, SumProductDecoder
+from .decoder import SumProductDecoder
 from .encoder import Gf2Encoder, derive_encoder
-from .modem import awgn_qpsk_llrs
 from .peg import ParityCheckMatrix, peg_construct
 from .scramble import FrameScrambler
 from .sim import (

@@ -14,8 +14,6 @@ a half check message near 8.66 (a full LLR of about 17.3), below ``clamp``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .peg import ParityCheckMatrix
@@ -29,13 +27,6 @@ _TANH_MARGIN = 1e-15
 # many in float64); in float32 it decoded about as fast as 1 MiB and faster
 # than 0.25 MiB on both codes.
 _WINDOW_BYTES = 1 << 19
-
-
-@dataclass
-class DecodeResult:
-    bits: np.ndarray
-    converged: bool
-    iterations: int
 
 
 class SumProductDecoder:
@@ -72,8 +63,7 @@ class SumProductDecoder:
         self.h = h
         self.clamp = clamp
         self.dtype = dtype = np.dtype(dtype)
-        eps = np.finfo(dtype).epsneg
-        self._tanh_ceil = dtype.type(1.0 - max(_TANH_MARGIN, eps))
+        self._tanh_ceil = dtype.type(1.0 - max(_TANH_MARGIN, np.finfo(dtype).epsneg))
         chk_of_edge, var_of_edge = h.tanner_edges()
         row_deg = h.row_weights()
         col_deg = h.col_weights()
@@ -102,24 +92,6 @@ class SumProductDecoder:
         self._var_gather[var_slot, var_of_edge[var_perm]] = self._plane_of_edge[var_perm]
         self._var_gather = self._var_gather.ravel()
         self._window_frames = max(1, _WINDOW_BYTES // (dtype.itemsize * (n_edges + 1)))
-        # Rows where arctanh's argument can reach the ceiling. After the
-        # +-clamp/2 clip, |tanh| <= tanh(clamp/2), and a product of factors
-        # of magnitude <= 1 rounds to no more than its largest factor; so
-        # with tanh(clamp/2) below the ceiling (with a few ulps to spare)
-        # only an empty product, 1.0, can: the degree-1 checks at the tail
-        # of plane 0. In float32 tanh(15) is 1.0, so at the default clamp
-        # every row keeps the clip.
-        if np.tanh(dtype.type(0.5 * clamp)) < self._tanh_ceil - dtype.type(4 * eps):
-            self._ceil_rows = slice(int(counts[1]) if counts.size > 1 else 0, m)
-        else:
-            self._ceil_rows = slice(0, n_edges)
-
-    def decode(self, llrs, max_iter: int = 100) -> DecodeResult:
-        arr = np.asarray(llrs, dtype=float)
-        if arr.shape != (self.h.n,):
-            raise ValueError(f"expected {self.h.n} LLRs")
-        bits, converged, iters = self.decode_batch(arr[None, :], max_iter)
-        return DecodeResult(bits[0], bool(converged[0]), int(iters[0]))
 
     def decode_batch(self, llrs, max_iter: int = 100):
         """Decode (batch, n) LLR rows; returns (bits, converged, iterations).
@@ -222,9 +194,10 @@ class SumProductDecoder:
 
         Each edge's previous check message comes off its posterior, giving the
         clipped half variable-to-check message that the tanh rule takes.
-        Products are clipped below +-1 for arctanh only on the rows where
-        they can reach it (``_ceil_rows``). ``t`` is used up as work space;
-        the zero slot of ``c`` is kept.
+        Products are clipped below +-1 for arctanh on every row: a degree-1
+        check's empty product is 1.0, and tanh(clamp/2) passes the ceiling
+        in float32 (in float64 only above a clamp of about 35). ``t`` is
+        used up as work space; the zero slot of ``c`` is kept.
         """
         loo = c[:-1]
         np.subtract(t, loo, out=t)
@@ -232,8 +205,7 @@ class SumProductDecoder:
         np.clip(t, -half, half, out=t)
         np.tanh(t, out=t)
         self._leave_one_out(t, loo)
-        ceil = loo[self._ceil_rows]
-        np.clip(ceil, -self._tanh_ceil, self._tanh_ceil, out=ceil)
+        np.clip(loo, -self._tanh_ceil, self._tanh_ceil, out=loo)
         np.arctanh(loo, out=loo)
 
     def _leave_one_out(self, t: np.ndarray, out: np.ndarray) -> None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import SeededRng
-
 
 def qpsk_symbols(bits: np.ndarray, snr_lambda: float) -> np.ndarray:
     """Map bit pairs (I, Q) to symbols of energy ``snr_lambda``; pads odd tails."""
@@ -38,11 +36,3 @@ def llrs_from_rx(received: np.ndarray, snr_lambda: float, n_bits: int) -> np.nda
     llrs[:, 1::2] = gain * rx.imag
     llrs = llrs[:, :n_bits]
     return llrs[0] if np.asarray(received).ndim == 1 else llrs
-
-
-def awgn_qpsk_llrs(codeword, snr_lambda: float, rng: SeededRng) -> np.ndarray:
-    """Transmit a codeword over QPSK/AWGN and return its channel LLRs."""
-    bits = np.asarray(codeword, dtype=np.uint8)
-    sym = qpsk_symbols(bits, snr_lambda)
-    noisy = sym + rng.complex_normals(sym.shape)
-    return llrs_from_rx(noisy, snr_lambda, bits.size)

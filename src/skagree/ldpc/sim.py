@@ -23,6 +23,8 @@ from .peg import ParityCheckMatrix
 from .scramble import FrameScrambler
 
 _Z95 = 1.959963984540054
+# dB the security-gap walk may go either side of the DE threshold
+_GAP_SPAN_DB = 6.0
 # Message precision of the simulator's decoder. float32 halves the cost of
 # the tanh and arctanh that dominate decoding; float64 stays the reference
 # kernel of ``SumProductDecoder``.
@@ -171,7 +173,6 @@ def security_gap(
     fer_secure: float,
     rng: SeededRng,
     step_db: float = 0.2,
-    span_db: float = 6.0,
     max_frames: int = 20_000,
     target_frame_errors: int = 50,
     max_iter: int = 100,
@@ -201,7 +202,7 @@ def security_gap(
             )
         return max(cache[stepno].fer, floor)
 
-    max_steps = int(np.ceil(span_db / step_db))
+    max_steps = int(np.ceil(_GAP_SPAN_DB / step_db))
 
     def crossing(target: float, log_interp: bool) -> float:
         # find adjacent grid steps with fer >= target (low side) and < target

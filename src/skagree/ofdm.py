@@ -36,28 +36,7 @@ class OfdmConfig:
         return self.cp_len / self.subcarriers
 
 
-@dataclass(frozen=True)
-class ImpulseResponse:
-    """Complex channel taps for one link."""
-
-    taps: np.ndarray
-    label: str = "legitimate"
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=complex)
-        if taps.ndim != 1 or taps.size < 1:
-            raise ValueError("taps must be a non-empty 1-d vector")
-        taps = taps.copy()
-        taps.setflags(write=False)
-        object.__setattr__(self, "taps", taps)
-
-    def __len__(self):
-        return self.taps.size
-
-
 def _as_taps(g) -> np.ndarray:
-    if isinstance(g, ImpulseResponse):
-        return g.taps
     taps = np.asarray(g, dtype=complex)
     if taps.ndim != 1 or taps.size < 1:
         raise ValueError("taps must be a non-empty 1-d vector")

@@ -4,13 +4,14 @@ With Rayleigh taps, the eavesdropper SNR on the chosen subcarrier is a
 Hermitian quadratic form in the (unit-variance) tap vector, so it is
 distributed as a weighted sum of independent unit exponentials whose means
 are the eigenvalues of that form. Everything here is built around that
-matrix, its closed-form CDF, and Monte Carlo cross-checks against the full
-matrix channel model.
+matrix and its closed-form CDF, with two rate-outage estimators: Monte
+Carlo through the matrix channel model, and a conditional one that draws
+only the legitimate channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +27,12 @@ _CHUNK = 8192
 
 
 @dataclass(frozen=True)
-class QuadraticFormMatrix:
-    """PSD matrix c with gamma* c gamma ~ eavesdropper SNR, gamma ~ CN(0, I)."""
-
-    c: np.ndarray
-    provenance: str = ""
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("quadratic form must be square")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("quadratic form must be symmetric")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
 class EigenSpectrum:
     """Nonnegative eigenvalues sorted descending, tiny ones dropped.
 
-    Eigenvalues below ``cutoff`` (relative to the largest) contribute a
-    point mass at zero within tolerance and are removed; the retained count
-    is what the closed-form CDF uses.
+    Eigenvalues below 1e-12 of the largest contribute a point mass at zero
+    within tolerance and are removed; the retained count is what the
+    closed-form CDF uses.
     """
 
     eigenvalues: np.ndarray
@@ -64,8 +47,13 @@ class EigenSpectrum:
         object.__setattr__(self, "eigenvalues", vals)
 
     @classmethod
-    def from_matrix(cls, form, cutoff: float = _EIGENVALUE_CUTOFF) -> "EigenSpectrum":
-        c = form.c if isinstance(form, QuadraticFormMatrix) else np.asarray(form)
+    def from_matrix(cls, c) -> "EigenSpectrum":
+        """Spectrum of a real symmetric PSD matrix c, gamma* c gamma ~ SNR."""
+        c = np.asarray(c)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError("quadratic form must be square")
+        if not np.allclose(c, c.T, atol=1e-12):
+            raise ValueError("quadratic form must be symmetric")
         vals = np.linalg.eigvalsh(c)
         if vals[0] < -1e-10 * max(1.0, vals[-1]):
             raise ValueError("matrix is not PSD")
@@ -74,16 +62,17 @@ class EigenSpectrum:
         trace = float(np.trace(c))
         if abs(total - trace) > 1e-9 * max(abs(total), abs(trace), 1e-300):
             raise ValueError("eigenvalue sum inconsistent with trace")
-        kept = vals[vals > cutoff * vals[-1]] if vals[-1] > 0 else vals[-1:]
+        kept = vals[vals > _EIGENVALUE_CUTOFF * vals[-1]] if vals[-1] > 0 else vals[-1:]
         return cls(kept)
 
 
-def build_c_matrix(cfg: OfdmConfig, pdp: PdpProfile, power: float) -> QuadraticFormMatrix:
-    """Quadratic form whose value is distributed as the eavesdropper SNR.
+def build_c_matrix(cfg: OfdmConfig, pdp: PdpProfile, power: float) -> np.ndarray:
+    """Read-only PSD matrix c with gamma* c gamma ~ eavesdropper SNR, gamma ~ CN(0, I).
 
-    The column energy of the effective eavesdropper channel decomposes into
-    prefix partial sums, (N - L + 1) copies of the full tap sum, and suffix
-    partial sums; absorbing the PDP into unit-variance taps and the
+    By phase symmetry the law is the same on every subcarrier. The column
+    energy of the effective eavesdropper channel decomposes into prefix
+    partial sums, (N - L + 1) copies of the full tap sum, and suffix partial
+    sums; absorbing the PDP into unit-variance taps and the
     power / (1 + cp_overhead) loading gives
 
         c = s * D^(1/2) [ sum u_n u_n^T + (N-L+1) 1 1^T + sum v_n v_n^T ] D^(1/2) / M
@@ -102,48 +91,8 @@ def build_c_matrix(cfg: OfdmConfig, pdp: PdpProfile, power: float) -> QuadraticF
     root = np.sqrt(pdp.tap_powers)
     scale = power / (1.0 + cfg.cp_overhead) / big_m
     c = scale * (root[:, None] * core * root[None, :])
-    return QuadraticFormMatrix(
-        c,
-        provenance=(
-            f"subcarriers={big_m} cp_len={cfg.cp_len} taps={n_taps} "
-            f"power={power!r} (subcarrier-independent by phase symmetry)"
-        ),
-    )
-
-
-def sample_quadratic_form(form: QuadraticFormMatrix, samples: int, rng: SeededRng):
-    """Monte Carlo draws of gamma* c gamma with gamma ~ CN(0, I)."""
-    spec = EigenSpectrum.from_matrix(form)
-    u = 1.0 - rng.uniform((samples, spec.eigenvalues.size))
-    return -np.log(u) @ spec.eigenvalues
-
-
-def simulate_lambda_e(
-    cfg: OfdmConfig,
-    pdp: PdpProfile,
-    power: float,
-    subcarrier: int,
-    samples: int,
-    rng: SeededRng,
-    chunk: int = 8192,
-) -> np.ndarray:
-    """Eavesdropper SNR samples through the matrix channel model.
-
-    Draws tap vectors and applies the effective channel column energy
-    (the structured evaluation of ||G_E T e_m||^2, identical to the dense
-    product to machine precision), then scales by power / (1 + overhead).
-    """
-    out = np.empty(samples)
-    scale = power / (1.0 + cfg.cp_overhead)
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        taps = sample_tap_matrix(pdp, rng, take)
-        out[done:done + take] = scale * eavesdropper_column_energies(
-            cfg, taps, subcarrier
-        )
-        done += take
-    return out
+    c.setflags(write=False)
+    return c
 
 
 def _hypoexponential_cdf_closed_form(theta: np.ndarray, lam: np.ndarray):
@@ -187,8 +136,10 @@ def lambda_e_cdf(theta, spec: EigenSpectrum | np.ndarray):
 
     Uses the partial-fraction closed form when the spectrum is distinct and
     well conditioned, otherwise the phase-type matrix-exponential route.
+    The result has the shape of ``theta``.
     """
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    shape = np.shape(theta)
+    arr = np.asarray(theta, dtype=float).reshape(-1)
     if np.any(arr < 0):
         raise ValueError("theta must be nonnegative")
     lam = (
@@ -205,14 +156,7 @@ def lambda_e_cdf(theta, spec: EigenSpectrum | np.ndarray):
         out = _hypoexponential_cdf_closed_form(arr, lam)
         if out is None:
             out = _hypoexponential_cdf_phase_type(arr, lam)
-    return float(out[0]) if np.ndim(theta) == 0 else out
-
-
-def secrecy_outage_probability(lambda_th: float, epsilon: float, spec) -> float:
-    """P{eavesdropper SNR >= lambda_th - epsilon} = 1 - CDF(lambda_th - epsilon)."""
-    if epsilon < 0 or lambda_th - epsilon < 0:
-        raise ValueError("need lambda_th - epsilon >= 0 and epsilon >= 0")
-    return 1.0 - float(lambda_e_cdf(lambda_th - epsilon, spec))
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _binomial_quantile(q: float, n: int, p: float) -> int:
@@ -235,16 +179,12 @@ class RateCdf:
 
     secret_key_rates: np.ndarray
     secrecy_rates: np.ndarray
-    params: dict = field(default_factory=dict)
 
-    def rate_at_outage(self, p: float, kind: str = "secret_key") -> float:
-        """Largest rate R whose empirical P{rate < R} does not exceed p."""
+    def rate_at_outage(self, p: float) -> float:
+        """Largest secret-key rate R whose empirical P{rate < R} does not exceed p."""
         if not 0 <= p <= 1:
             raise ValueError("outage probability must be in [0, 1]")
-        samples = {
-            "secret_key": self.secret_key_rates,
-            "secrecy": self.secrecy_rates,
-        }[kind]
+        samples = self.secret_key_rates
         idx = min(int(np.floor(p * samples.size)), samples.size - 1)
         return float(samples[idx])
 
@@ -337,17 +277,7 @@ def sk_rate_outage_cdf(
         sk[done:done + take] = secret_key_rates(target, lam_e)
         sec[done:done + take] = secrecy_rates(target, lam_e)
         done += take
-    return RateCdf(
-        secret_key_rates=np.sort(sk),
-        secrecy_rates=np.sort(sec),
-        params={
-            "subcarriers": cfg.subcarriers,
-            "cp_len": cfg.cp_len,
-            "target_lambda_r_db": target_lambda_r_db,
-            "samples": samples,
-            "secrecy_curve": "reconstructed comparison curve",
-        },
-    )
+    return RateCdf(secret_key_rates=np.sort(sk), secrecy_rates=np.sort(sec))
 
 
 def sk_rate_outage_probability(
@@ -392,7 +322,7 @@ def sk_rate_outage_probability(
     )
     total = np.zeros(r.size)
     for _, peak_sq in peaks:
-        for i in np.flatnonzero(positive):
-            total[i] += np.sum(1.0 - lambda_e_cdf(theta[i] * peak_sq / target, spec))
+        grid = theta[positive, None] * peak_sq / target  # (positive rates, peaks)
+        total[positive] += np.sum(1.0 - lambda_e_cdf(grid, spec), axis=1)
     out = total / samples
     return float(out[0]) if np.ndim(rates) == 0 else out

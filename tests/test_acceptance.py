@@ -30,7 +30,6 @@ from skagree.outage import (
     EigenSpectrum,
     build_c_matrix,
     lambda_e_cdf,
-    simulate_lambda_e,
     sk_rate_outage_cdf,
     sk_rate_outage_probability,
 )
@@ -154,7 +153,8 @@ def test_criterion_5_outage_pipeline(m_sub):
         fast = eavesdropper_column_energies(cfg, row, subcarrier)
         assert abs(dense - fast) < 1e-10 * max(1.0, dense)
     n = 100_000
-    draws = simulate_lambda_e(cfg, pdp, power, subcarrier, n, SeededRng(500 + m_sub))
+    draws = power / (1 + cfg.cp_overhead) * eavesdropper_column_energies(
+        cfg, sample_tap_matrix(pdp, SeededRng(500 + m_sub), n), subcarrier)
     spec = EigenSpectrum.from_matrix(build_c_matrix(cfg, pdp, power))
     grid = np.linspace(0.0, float(np.quantile(draws, 0.99995)), 600)
     analytic = lambda_e_cdf(grid, spec)

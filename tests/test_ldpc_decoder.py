@@ -8,7 +8,6 @@ from skagree.channels import SeededRng
 from skagree.ldpc import (
     ParityCheckMatrix,
     SumProductDecoder,
-    awgn_qpsk_llrs,
     decoding_threshold,
     peg_construct,
 )
@@ -109,6 +108,13 @@ class LogDomainDecoder:
         return llr_act + per_var
 
 
+def channel_llrs(word: np.ndarray, snr_db: float, rng: SeededRng) -> np.ndarray:
+    """One codeword's QPSK/AWGN channel LLRs, as the frame simulator draws them."""
+    snr = 10 ** (snr_db / 10)
+    rx = qpsk_symbols(word, snr) + rng.complex_normals((word.size + 1) // 2)
+    return llrs_from_rx(rx, snr, word.size)
+
+
 def noisy_llrs(h: ParityCheckMatrix, snr_db: float, frames: int, rng: SeededRng):
     """Codewords of random messages and their QPSK/AWGN channel LLRs."""
     enc = h.encoder()
@@ -131,10 +137,10 @@ def test_noiseless_codeword_converges_immediately():
     h = peg_construct(60, 0.5, 3, SeededRng(2))
     word = h.encoder().encode(SeededRng(3).bits(h.encoder().k))
     llrs = 20.0 * (1.0 - 2.0 * word.astype(float))
-    res = SumProductDecoder(h).decode(llrs, max_iter=50)
-    assert res.converged
-    assert res.iterations <= 1
-    assert np.array_equal(res.bits, word)
+    bits, conv, iters = SumProductDecoder(h).decode_batch(llrs[None], max_iter=50)
+    assert conv[0]
+    assert iters[0] <= 1
+    assert np.array_equal(bits[0], word)
 
 
 def test_hamming_single_flip_corrected_matches_ml():
@@ -151,20 +157,20 @@ def test_hamming_single_flip_corrected_matches_ml():
             # the first flooding iteration jumps to a neighboring codeword
             # (this toy graph is loopy, so BP = ML only holds in a window)
             llrs = 2.0 * received
-            res = decoder.decode(llrs, max_iter=50)
+            bits, conv, _ = decoder.decode_batch(llrs[None], max_iter=50)
             # maximum-likelihood oracle over all 16 codewords
             metrics = ((1.0 - 2.0 * words) * llrs).sum(axis=1)
             ml_word = words[int(np.argmax(metrics))]
             assert np.array_equal(ml_word, codeword)
-            assert res.converged
-            assert np.array_equal(res.bits, ml_word)
+            assert conv[0]
+            assert np.array_equal(bits[0], ml_word)
 
 
 def test_all_zero_llrs_do_not_converge():
     h = peg_construct(60, 0.5, 3, SeededRng(4))
-    res = SumProductDecoder(h).decode(np.zeros(60), max_iter=20)
-    assert not res.converged
-    assert res.iterations == 20
+    _, conv, iters = SumProductDecoder(h).decode_batch(np.zeros((1, 60)), max_iter=20)
+    assert not conv[0]
+    assert iters[0] == 20
 
 
 def test_convergence_implies_zero_syndrome():
@@ -176,10 +182,10 @@ def test_convergence_implies_zero_syndrome():
         for trial in range(30):
             stream = rng.spawn(hash((snr_db, trial)) % (2**32))
             word = enc.encode(stream.bits(enc.k))
-            llrs = awgn_qpsk_llrs(word, 10 ** (snr_db / 10), stream)
-            res = decoder.decode(llrs, max_iter=30)
-            if res.converged:
-                assert not h.syndrome(res.bits).any()
+            llrs = channel_llrs(word, snr_db, stream)
+            bits, conv, _ = decoder.decode_batch(llrs[None], max_iter=30)
+            if conv[0]:
+                assert not h.syndrome(bits).any()
 
 
 def test_batch_matches_single_frame():
@@ -193,15 +199,15 @@ def test_batch_matches_single_frame():
     for i in range(frames):
         stream = rng.spawn(i)
         word = enc.encode(stream.bits(enc.k))
-        llr_rows.append(awgn_qpsk_llrs(word, 10 ** (-0.1), stream))
+        llr_rows.append(channel_llrs(word, -1.0, stream))
     llrs = np.array(llr_rows)
     bits_b, conv_b, iters_b = decoder.decode_batch(llrs, max_iter=40)
     assert 0 < conv_b.sum() < frames
     for i in range(frames):
-        single = decoder.decode(llrs[i], max_iter=40)
-        assert np.array_equal(single.bits, bits_b[i])
-        assert single.converged == conv_b[i]
-        assert single.iterations == iters_b[i]
+        bits, conv, iters = decoder.decode_batch(llrs[i:i + 1], max_iter=40)
+        assert np.array_equal(bits[0], bits_b[i])
+        assert conv[0] == conv_b[i]
+        assert iters[0] == iters_b[i]
 
 
 def test_degree_zero_graph_rejected():
@@ -213,8 +219,6 @@ def test_degree_zero_graph_rejected():
 def test_llr_length_checked():
     h = peg_construct(12, 0.25, 3, SeededRng(1))
     decoder = SumProductDecoder(h)
-    with pytest.raises(ValueError):
-        decoder.decode(np.zeros(11))
     for bad in (np.zeros((2, 11)), np.zeros(12)):
         with pytest.raises(ValueError, match=r"expected \(batch, n\) LLRs with n = 12"):
             decoder.decode_batch(bad)
@@ -225,7 +229,19 @@ def code512():
     return peg_construct(512, 0.25, 3, SeededRng(3))
 
 
-def test_decoder_matches_log_domain_oracle(code512):
+@pytest.fixture(scope="module")
+def oracle_corpus(code512):
+    """The oracle test's 2 001 frames: (snr_db, words, llrs, oracle decode)."""
+    oracle = LogDomainDecoder(code512)
+    rng = SeededRng(11)
+    corpus = []
+    for point, snr_db in enumerate((-2.5, -1.5, -0.5)):
+        words, llrs = noisy_llrs(code512, snr_db, 667, rng.spawn(point))
+        corpus.append((snr_db, words, llrs, oracle.decode_batch(llrs, max_iter=40)))
+    return corpus
+
+
+def test_decoder_matches_log_domain_oracle(code512, oracle_corpus):
     """A fixed corpus of 2 001 frames at three SNRs against the oracle.
 
     Every frame the oracle converges must get the same bits, flag and
@@ -234,13 +250,9 @@ def test_decoder_matches_log_domain_oracle(code512):
     may violate the dense parity checks.
     """
     decoder = SumProductDecoder(code512)
-    oracle = LogDomainDecoder(code512)
     dense = code512.to_dense().astype(np.int64)
-    rng = SeededRng(11)
-    for point, snr_db in enumerate((-2.5, -1.5, -0.5)):
-        words, llrs = noisy_llrs(code512, snr_db, 667, rng.spawn(point))
+    for snr_db, words, llrs, (ref_bits, ref_conv, ref_iters) in oracle_corpus:
         bits, conv, iters = decoder.decode_batch(llrs, max_iter=40)
-        ref_bits, ref_conv, ref_iters = oracle.decode_batch(llrs, max_iter=40)
         assert np.array_equal(bits[ref_conv], ref_bits[ref_conv])
         assert np.array_equal(conv[ref_conv], ref_conv[ref_conv])
         assert np.array_equal(iters[ref_conv], ref_iters[ref_conv])
@@ -377,11 +389,11 @@ def test_results_do_not_depend_on_slice_size(window_frames, code512):
 
 @pytest.mark.parametrize("which", ["clamp-40", "degree-1-checks"])
 def test_arctanh_ceiling_clip_where_it_can_bind(which, code512):
-    """The ceiling clip kept only where it can bind changes no result.
+    """The ceiling clip keeps arctanh finite where a product reaches 1.0.
 
-    At ``clamp`` 40, tanh(20) rounds to 1.0, so every row keeps the clip;
-    a check of degree 1 has the empty product 1.0 whatever the clamp.
-    Without the clip either case would raise on ``arctanh(1.0)``.
+    At ``clamp`` 40, tanh(20) rounds to 1.0; a check of degree 1 has the
+    empty product 1.0 whatever the clamp. Without the clip either case would
+    raise on ``arctanh(1.0)``. Frames the oracle converges match it.
     """
     h, clamp, snr_db = code512, 30.0, -1.5
     if which == "clamp-40":
@@ -398,14 +410,8 @@ def test_arctanh_ceiling_clip_where_it_can_bind(which, code512):
         # reliable bits past the clamp: their tanh factors round to 1.0
         llrs[SeededRng(24).uniform(llrs.shape) < 0.1] = 45.0
     decoder = SumProductDecoder(h, clamp=clamp)
-    every_row = SumProductDecoder(h, clamp=clamp)
-    every_row._ceil_rows = slice(0, every_row.n_edges)
     with np.errstate(all="raise"):
         bits, conv, iters = decoder.decode_batch(llrs, max_iter=30)
-        full = every_row.decode_batch(llrs, max_iter=30)
-    assert np.array_equal(bits, full[0])
-    assert np.array_equal(conv, full[1])
-    assert np.array_equal(iters, full[2])
     ref_bits, ref_conv, ref_iters = LogDomainDecoder(h, clamp).decode_batch(
         llrs, max_iter=30
     )
@@ -519,18 +525,6 @@ def test_floating_point_edge_cases(which, code512):
 # float32 decode is pinned by a digest.
 
 
-@pytest.fixture(scope="module")
-def oracle_corpus(code512):
-    """The oracle test's 2 001 frames: (snr_db, words, llrs, oracle decode)."""
-    oracle = LogDomainDecoder(code512)
-    rng = SeededRng(11)
-    corpus = []
-    for point, snr_db in enumerate((-2.5, -1.5, -0.5)):
-        words, llrs = noisy_llrs(code512, snr_db, 667, rng.spawn(point))
-        corpus.append((snr_db, words, llrs, oracle.decode_batch(llrs, max_iter=40)))
-    return corpus
-
-
 def test_float32_kernel_against_log_domain_oracle(code512, oracle_corpus):
     """The float32 kernel on the oracle test's corpus.
 
@@ -557,16 +551,15 @@ def test_float32_kernel_against_log_domain_oracle(code512, oracle_corpus):
 
 
 def test_float32_ceiling_and_window(code512):
-    """In float32, arctanh's ceiling is 1 - 2**-24 and binds on every row
-    (tanh(15) rounds to 1.0), half check messages stay within its arctanh
-    (about 8.66), and the window holds twice the float64 window's frames."""
+    """In float32, arctanh's ceiling is 1 - 2**-24 and binds wherever every
+    factor is +-1.0 (tanh(15) rounds to 1.0), half check messages stay
+    within its arctanh (about 8.66), and the window holds twice the float64
+    window's frames."""
     decoder = SumProductDecoder(code512, dtype=np.float32)
     reference = SumProductDecoder(code512)
     assert decoder.dtype == np.float32 and reference.dtype == np.float64
     assert decoder._tanh_ceil == np.float32(1.0 - 2.0**-24)
     assert reference._tanh_ceil == 1.0 - 1e-15
-    assert decoder._ceil_rows == slice(0, decoder.n_edges)
-    assert reference._ceil_rows != slice(0, reference.n_edges)
     edges = decoder.n_edges + 1
     assert decoder._window_frames == (1 << 19) // (4 * edges)
     assert reference._window_frames == (1 << 19) // (8 * edges)

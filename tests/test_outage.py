@@ -3,19 +3,15 @@ import pytest
 from scipy import stats
 
 from skagree.channels import SeededRng, exponential_pdp, sample_tap_matrix
-from skagree.ofdm import OfdmConfig, effective_channels
+from skagree.ofdm import OfdmConfig, eavesdropper_column_energies, effective_channels
 from skagree.outage import (
     EigenSpectrum,
-    QuadraticFormMatrix,
     RateCdf,
     build_c_matrix,
     lambda_e_cdf,
-    sample_quadratic_form,
-    secrecy_outage_probability,
     _binomial_quantile,
     _hypoexponential_cdf_closed_form,
     _hypoexponential_cdf_phase_type,
-    simulate_lambda_e,
     sk_rate_outage_cdf,
     sk_rate_outage_probability,
 )
@@ -26,36 +22,37 @@ class TestBuildCMatrix:
         cfg = OfdmConfig(subcarriers=16, cp_len=4)
         pdp = exponential_pdp(1, -10.0)
         power = 2.0
-        form = build_c_matrix(cfg, pdp, power)
+        c = build_c_matrix(cfg, pdp, power)
         expected = power / (1 + cfg.cp_overhead) * 0.1 * cfg.block_len / 16
-        assert form.c.shape == (1, 1)
-        assert abs(form.c[0, 0] - expected) < 1e-14
+        assert c.shape == (1, 1)
+        assert abs(c[0, 0] - expected) < 1e-14
 
     def test_hermitian_psd(self):
         cfg = OfdmConfig(subcarriers=64, cp_len=8)
         for decay in (0.0, 0.5, 1.0):
             pdp = exponential_pdp(8, -10.0, decay)
-            form = build_c_matrix(cfg, pdp, 1.5)
-            assert np.allclose(form.c, form.c.T)
-            assert np.linalg.eigvalsh(form.c)[0] > -1e-12
+            c = build_c_matrix(cfg, pdp, 1.5)
+            assert np.allclose(c, c.T)
+            assert np.linalg.eigvalsh(c)[0] > -1e-12
+            assert not c.flags.writeable
 
     def test_trace_gives_mean_snr_power_times_gain(self):
         # E{quadratic form} = trace = power * total_gain since N/M = 1 + rho
         cfg = OfdmConfig(subcarriers=64, cp_len=4)
         pdp = exponential_pdp(4, -10.0, 0.5)
-        form = build_c_matrix(cfg, pdp, 3.0)
-        assert abs(np.trace(form.c) - 3.0 * pdp.total_gain) < 1e-12
+        c = build_c_matrix(cfg, pdp, 3.0)
+        assert abs(np.trace(c) - 3.0 * pdp.total_gain) < 1e-12
 
     def test_matches_matrix_model_in_distribution(self):
         # ground truth: quadratic-form samples vs the full channel pipeline
         cfg = OfdmConfig(subcarriers=64, cp_len=4)
         pdp = exponential_pdp(4, -10.0, 0.5)
         power = 1.7
-        form = build_c_matrix(cfg, pdp, power)
+        lam = EigenSpectrum.from_matrix(build_c_matrix(cfg, pdp, power)).eigenvalues
         n = 100_000
-        analytic_draws = sample_quadratic_form(form, n, SeededRng(1))
-        model_draws = simulate_lambda_e(cfg, pdp, power, subcarrier=9, samples=n,
-                                        rng=SeededRng(2))
+        analytic_draws = -np.log(1.0 - SeededRng(1).uniform((n, lam.size))) @ lam
+        model_draws = power / (1 + cfg.cp_overhead) * eavesdropper_column_energies(
+            cfg, sample_tap_matrix(pdp, SeededRng(2), n), 9)
         res = stats.ks_2samp(analytic_draws, model_draws)
         assert res.statistic < 1.628 * np.sqrt(2.0 / n)
 
@@ -63,9 +60,12 @@ class TestBuildCMatrix:
         cfg = OfdmConfig(subcarriers=64, cp_len=8)
         pdp = exponential_pdp(8, -10.0, 0.5)
         n = 60_000
-        base = simulate_lambda_e(cfg, pdp, 1.0, 0, n, SeededRng(3))
+        scale = 1.0 / (1 + cfg.cp_overhead)
+        base = scale * eavesdropper_column_energies(
+            cfg, sample_tap_matrix(pdp, SeededRng(3), n), 0)
         for m in (17, 32):
-            other = simulate_lambda_e(cfg, pdp, 1.0, m, n, SeededRng(100 + m))
+            other = scale * eavesdropper_column_energies(
+                cfg, sample_tap_matrix(pdp, SeededRng(100 + m), n), m)
             assert stats.ks_2samp(base, other).pvalue > 0.01
 
     @pytest.mark.parametrize("m, mu, n_taps, decay, gain_db", [
@@ -85,7 +85,7 @@ class TestBuildCMatrix:
         root = np.sqrt(pdp.tap_powers)
         scale = 1.3 / (1.0 + cfg.cp_overhead) / m
         expected = scale * (root[:, None] * core * root[None, :])
-        assert np.array_equal(build_c_matrix(cfg, pdp, 1.3).c, expected)
+        assert np.array_equal(build_c_matrix(cfg, pdp, 1.3), expected)
 
     @pytest.mark.parametrize("subcarrier", [0, 9, 63])
     def test_eigenvalues_match_dense_gram_matrix(self, subcarrier):
@@ -104,7 +104,7 @@ class TestBuildCMatrix:
         gram = power / (1.0 + cfg.cp_overhead) * (
             root[:, None] * (h.conj().T @ h) * root[None, :])
         dense = np.linalg.eigvalsh(gram)
-        closed = np.linalg.eigvalsh(build_c_matrix(cfg, pdp, power).c)
+        closed = np.linalg.eigvalsh(build_c_matrix(cfg, pdp, power))
         assert np.max(np.abs(closed - dense)) <= 1e-12 * dense.max()
 
     def test_rejects_overlong_pdp(self):
@@ -116,9 +116,9 @@ class TestBuildCMatrix:
 class TestEigenSpectrum:
     def test_sum_matches_trace(self):
         cfg = OfdmConfig(subcarriers=64, cp_len=8)
-        form = build_c_matrix(cfg, exponential_pdp(8, -10.0, 0.3), 2.0)
-        spec = EigenSpectrum.from_matrix(form)
-        assert spec.eigenvalues.sum() == pytest.approx(np.trace(form.c), rel=1e-9)
+        c = build_c_matrix(cfg, exponential_pdp(8, -10.0, 0.3), 2.0)
+        spec = EigenSpectrum.from_matrix(c)
+        assert spec.eigenvalues.sum() == pytest.approx(np.trace(c), rel=1e-9)
 
     def test_sorted_descending_and_cutoff(self):
         spec = EigenSpectrum.from_matrix(np.diag([1e-20, 2.0, 1.0]))
@@ -197,6 +197,16 @@ class TestLambdaECdf:
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[-1] > 0.999
 
+    def test_keeps_the_shape_of_theta(self):
+        # a (rates x peaks) grid, as the conditional estimator passes it,
+        # whose trailing axis is as long as the spectrum: no broadcasting
+        spec = EigenSpectrum(np.array([0.5, 0.2]))
+        grid = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        np.testing.assert_array_equal(
+            lambda_e_cdf(grid, spec), lambda_e_cdf(grid.ravel(), spec).reshape(3, 2)
+        )
+        assert lambda_e_cdf(np.ones((2, 3)), spec).shape == (2, 3)
+
     def test_rejects_negative_theta(self):
         with pytest.raises(ValueError):
             lambda_e_cdf(-0.1, EigenSpectrum(np.array([1.0])))
@@ -216,13 +226,15 @@ class TestLambdaECdf:
 
 
 class TestSecrecyOutage:
+    """P{eavesdropper SNR >= lambda_th - epsilon} as 1 - lambda_e_cdf."""
+
     def test_threshold_at_zero_gives_certain_outage(self):
         spec = EigenSpectrum(np.array([0.5, 0.1]))
-        assert secrecy_outage_probability(0.3, 0.3, spec) == 1.0
+        assert 1.0 - lambda_e_cdf(0.3 - 0.3, spec) == 1.0
 
     def test_far_threshold_gives_no_outage(self):
         spec = EigenSpectrum(np.array([0.5, 0.1]))
-        assert secrecy_outage_probability(1e3, 0.0, spec) < 1e-12
+        assert 1.0 - lambda_e_cdf(1e3, spec) < 1e-12
 
     def test_single_tap_closed_form(self):
         cfg = OfdmConfig(subcarriers=16, cp_len=4)
@@ -231,16 +243,7 @@ class TestSecrecyOutage:
         spec = EigenSpectrum.from_matrix(build_c_matrix(cfg, pdp, power))
         threshold = 10 ** (-0.2)
         expected = np.exp(-threshold / 0.1)
-        assert secrecy_outage_probability(threshold, 0.0, spec) == pytest.approx(
-            expected, rel=1e-10
-        )
-
-    def test_rejects_negative_argument(self):
-        spec = EigenSpectrum(np.array([0.5]))
-        with pytest.raises(ValueError):
-            secrecy_outage_probability(0.1, 0.2, spec)
-        with pytest.raises(ValueError):
-            secrecy_outage_probability(0.5, -0.1, spec)
+        assert 1.0 - lambda_e_cdf(threshold, spec) == pytest.approx(expected, rel=1e-10)
 
 
 class TestRateOutageCdf:
@@ -346,24 +349,26 @@ class TestConditionalRateOutage:
             float,
         )
 
-
-def test_simulate_lambda_e_matches_dense_effective_channel():
-    # spot check: the structured per-sample energy equals the dense H_E column
-    cfg = OfdmConfig(subcarriers=16, cp_len=4)
-    pdp = exponential_pdp(4, -10.0, 0.5)
-    power, m = 1.3, 5
-    draws = simulate_lambda_e(cfg, pdp, power, m, 4, SeededRng(11))
-    taps = sample_tap_matrix(pdp, SeededRng(11), 4)
-    for i in range(4):
-        ch = effective_channels(cfg, [1.0], taps[i])
-        dense = power / (1 + cfg.cp_overhead) * np.sum(
-            np.abs(ch.eavesdropper_matrix[:, m]) ** 2
-        )
-        assert draws[i] == pytest.approx(dense, rel=1e-12)
+    def test_rate_vector_equals_single_rate_calls(self):
+        # the (rates x peaks) grid gives each rate exactly its own estimate;
+        # 20 000 peaks span three chunks, the last one partial
+        cfg = OfdmConfig(subcarriers=64, cp_len=8)
+        pdp = exponential_pdp(8, -10.0, 0.5)
+        ceiling = np.log2(1 + 10 ** (-0.1))
+        rates = [0.3, 0.05, 0.0, -1.0, 1.5 * ceiling]
+        args = (cfg, pdp, pdp, -1.0)
+        out = sk_rate_outage_probability(*args, rates, 20_000, SeededRng(16))
+        singles = [sk_rate_outage_probability(*args, r, 20_000, SeededRng(16))
+                   for r in rates]
+        assert list(out) == singles
+        assert 0.0 < out[1] < out[0] < 1.0
 
 
 def test_quadratic_form_validation():
-    with pytest.raises(ValueError):
-        QuadraticFormMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        QuadraticFormMatrix(np.ones((2, 3)))
+    # from_matrix checks every matrix it is given, not only build_c_matrix's
+    with pytest.raises(ValueError, match="symmetric"):
+        EigenSpectrum.from_matrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        EigenSpectrum.from_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        EigenSpectrum.from_matrix(np.ones(3))
