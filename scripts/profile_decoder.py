@@ -25,6 +25,7 @@ import numpy as np
 
 from skagree.channels import SeededRng
 from skagree.ldpc import SumProductDecoder, peg_construct
+from skagree.ldpc.decoder import _CLAMP
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 from skagree.ldpc.sim import MESSAGE_DTYPE
 
@@ -39,8 +40,7 @@ def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
     """Seconds spent in each step over ``ITERS`` iterations of one window."""
     frames, dtype = llrs.shape[0], decoder.dtype
     # edge-major state, one column per frame, as the decoder holds it
-    half_llr = np.ascontiguousarray(
-        0.5 * np.clip(llrs, -decoder.clamp, decoder.clamp).T, dtype=dtype)
+    half_llr = np.ascontiguousarray(0.5 * np.clip(llrs, -_CLAMP, _CLAMP).T, dtype=dtype)
     post = half_llr.copy()
     c = np.zeros((decoder.n_edges + 1, frames), dtype=dtype)
     t = np.empty((decoder.n_edges, frames), dtype=dtype)

@@ -86,7 +86,6 @@ class PdpProfile:
     """
 
     tap_powers: np.ndarray
-    decay: float = 0.0
 
     def __post_init__(self):
         powers = np.asarray(self.tap_powers, dtype=float)
@@ -102,10 +101,6 @@ class PdpProfile:
     def length(self) -> int:
         return self.tap_powers.size
 
-    @property
-    def total_gain(self) -> float:
-        return float(self.tap_powers.sum())
-
 
 def exponential_pdp(n_taps: int, gamma_db: float, decay: float = 0.5) -> PdpProfile:
     """Exponentially decaying PDP normalized to a total gain of 10^(gamma_db/10).
@@ -119,7 +114,7 @@ def exponential_pdp(n_taps: int, gamma_db: float, decay: float = 0.5) -> PdpProf
         raise ValueError("decay must be nonnegative")
     total = 10.0 ** (gamma_db / 10.0)
     weights = np.exp(-decay * np.arange(n_taps))
-    return PdpProfile(total * weights / weights.sum(), decay)
+    return PdpProfile(total * weights / weights.sum())
 
 
 def sample_tap_matrix(pdp: PdpProfile, rng: SeededRng, count: int) -> np.ndarray:

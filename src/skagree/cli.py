@@ -35,10 +35,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit code 1."""
 
 
-class NumericalError(RuntimeError):
-    """Search or bracketing failure during an experiment; exit code 2."""
-
-
 REQUIRED = object()  # the default of a key that every config must give
 
 
@@ -360,19 +356,10 @@ def describe(kind: str) -> str:
 
 
 def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> list[str]:
-    """Execute one experiment; returns the paths written (CSV + metadata).
-
-    A ValueError from the library is a configuration error (exit 1), a
-    RuntimeError a numerical failure (exit 2).
-    """
+    """Execute one experiment; returns the paths written (CSV + metadata)."""
     runner, _ = KINDS[cfg.kind]
     started = time.time()
-    try:
-        files, meta = runner(cfg.params, SeededRng(cfg.params["seed"]), workers)
-    except RuntimeError as exc:
-        raise NumericalError(str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    files, meta = runner(cfg.params, SeededRng(cfg.params["seed"]), workers)
 
     meta_out = {
         "kind": cfg.kind,
@@ -418,6 +405,8 @@ def main(argv=None) -> int:
                         help="worker processes for frame simulation")
     args = parser.parse_args(argv)
 
+    # a ValueError (ConfigError, bad JSON or UTF-8, or one the library
+    # raises) is a configuration error, a RuntimeError a numerical failure
     try:
         if args.command == "describe":
             print(describe(args.kind))
@@ -429,10 +418,10 @@ def main(argv=None) -> int:
         for path in written:
             print(path)
         return 0
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

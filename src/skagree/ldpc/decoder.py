@@ -9,7 +9,7 @@ products of the other edges; no log, exp or division is involved.
 Messages are float64 by default, the reference kernel that the tests pin
 bit for bit. The same kernel runs in float32 (``dtype=np.float32``), as the
 frame simulator uses it: there the arctanh ceiling is 1 - 2**-24, which caps
-a half check message near 8.66 (a full LLR of about 17.3), below ``clamp``.
+a half check message near 8.66 (a full LLR of about 17.3), below ``_CLAMP``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 
 from .peg import ParityCheckMatrix
 
+# Largest magnitude of a channel LLR and of a variable-to-check message.
+_CLAMP = 30.0
 # Distance of arctanh's ceiling below 1; in float32 1 - 1e-15 rounds to 1,
 # so there the ceiling is the largest float below 1.
 _TANH_MARGIN = 1e-15
@@ -44,8 +46,8 @@ class SumProductDecoder:
     The decoder carries half-messages, ``v/2`` into ``tanh`` and
     ``artanh(.) = c/2`` out of it; halving is exact in floating point, so
     this equals the full-message recursion. Message magnitudes are clamped
-    to ``clamp``. Messages are held in ``dtype``; channel LLRs are clipped
-    to ``clamp`` in float64 first, so the decisions and convergence flags
+    to ``_CLAMP``. Messages are held in ``dtype``; channel LLRs are clipped
+    to ``_CLAMP`` in float64 first, so the decisions and convergence flags
     of frames that converge at the channel do not depend on it. Frames are decoded in a window of a few columns at a
     time; frames are independent, so which column holds a frame, and next
     to which others, changes no result.
@@ -56,12 +58,8 @@ class SumProductDecoder:
     even though the arbitrary all-zero decision would pass the syndrome.
     """
 
-    def __init__(self, h: ParityCheckMatrix, clamp: float = 30.0,
-                 dtype=np.float64):
-        if not isinstance(h, ParityCheckMatrix):
-            h = ParityCheckMatrix(h)
+    def __init__(self, h: ParityCheckMatrix, dtype=np.float64):
         self.h = h
-        self.clamp = clamp
         self.dtype = dtype = np.dtype(dtype)
         self._tanh_ceil = dtype.type(1.0 - max(_TANH_MARGIN, np.finfo(dtype).epsneg))
         chk_of_edge, var_of_edge = h.tanner_edges()
@@ -110,7 +108,7 @@ class SumProductDecoder:
         if llrs.ndim != 2 or llrs.shape[1] != self.h.n:
             raise ValueError(f"expected (batch, n) LLRs with n = {self.h.n}")
         # clipped in float64; the messages take ``dtype`` from here on
-        llrs = np.clip(llrs, -self.clamp, self.clamp)
+        llrs = np.clip(llrs, -_CLAMP, _CLAMP)
         dtype = self.dtype
         bits = (llrs < 0).astype(np.uint8)
         converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
@@ -195,14 +193,13 @@ class SumProductDecoder:
         Each edge's previous check message comes off its posterior, giving the
         clipped half variable-to-check message that the tanh rule takes.
         Products are clipped below +-1 for arctanh on every row: a degree-1
-        check's empty product is 1.0, and tanh(clamp/2) passes the ceiling
-        in float32 (in float64 only above a clamp of about 35). ``t`` is
-        used up as work space; the zero slot of ``c`` is kept.
+        check's empty product is 1.0, and in float32 tanh(_CLAMP/2) passes
+        the ceiling. ``t`` is used up as work space; the zero slot of ``c``
+        is kept.
         """
         loo = c[:-1]
         np.subtract(t, loo, out=t)
-        half = 0.5 * self.clamp
-        np.clip(t, -half, half, out=t)
+        np.clip(t, -0.5 * _CLAMP, 0.5 * _CLAMP, out=t)
         np.tanh(t, out=t)
         self._leave_one_out(t, loo)
         np.clip(loo, -self._tanh_ceil, self._tanh_ceil, out=loo)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
+from .peg import ParityCheckMatrix
 
 
 @dataclass
@@ -30,9 +31,6 @@ class Gf2Encoder:
     def true_rate(self) -> float:
         return self.k / self.n
 
-    def encode(self, message) -> np.ndarray:
-        return self.encode_batch(np.asarray(message, dtype=np.uint8)[None, :])[0]
-
     def encode_batch(self, messages) -> np.ndarray:
         msgs = np.asarray(messages, dtype=np.uint8)
         if msgs.ndim != 2 or msgs.shape[1] != self.k:
@@ -44,9 +42,9 @@ class Gf2Encoder:
         return words
 
 
-def derive_encoder(h) -> Gf2Encoder:
+def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
     """Find an information set via RREF and precompute the parity map."""
-    dense = h.to_dense() if hasattr(h, "to_dense") else np.asarray(h, dtype=np.uint8)
+    dense = h.to_dense()
     m, n = dense.shape
     words = gf2.pack_rows(dense)
     pivots = gf2.rref(words, n)

@@ -118,11 +118,6 @@ def _clear_block(words: np.ndarray, octet: np.ndarray, top: int, pos: list[int])
     words[top:top + nb] = sums[masks]
 
 
-def rank(bits: np.ndarray) -> int:
-    words = pack_rows(np.asarray(bits))
-    return len(rref(words, np.asarray(bits).shape[1]))
-
-
 def invert(bits: np.ndarray) -> np.ndarray | None:
     """Inverse of a square GF(2) matrix, or None if singular."""
     a = np.asarray(bits, dtype=np.uint8)

@@ -15,24 +15,21 @@ import numpy as np
 
 
 def qpsk_symbols(bits: np.ndarray, snr_lambda: float) -> np.ndarray:
-    """Map bit pairs (I, Q) to symbols of energy ``snr_lambda``; pads odd tails."""
+    """Map (batch, n) bit pairs (I, Q) to symbols of energy ``snr_lambda``;
+    pads odd tails."""
     arr = np.asarray(bits, dtype=np.uint8)
-    squeeze = arr.ndim == 1
-    arr = np.atleast_2d(arr)
     if arr.shape[1] % 2:
         arr = np.pad(arr, ((0, 0), (0, 1)))
     amp = np.sqrt(snr_lambda / 2.0)
     signs = 1.0 - 2.0 * arr.astype(float)
-    sym = amp * (signs[:, 0::2] + 1j * signs[:, 1::2])
-    return sym[0] if squeeze else sym
+    return amp * (signs[:, 0::2] + 1j * signs[:, 1::2])
 
 
 def llrs_from_rx(received: np.ndarray, snr_lambda: float, n_bits: int) -> np.ndarray:
-    """Per-bit channel LLRs from received symbols: 4 * sqrt(snr/2) * quadrature."""
-    rx = np.atleast_2d(received)
+    """(batch, n_bits) channel LLRs from (batch, symbols) received symbols:
+    4 * sqrt(snr/2) * quadrature."""
     gain = 4.0 * np.sqrt(snr_lambda / 2.0)
-    llrs = np.empty((rx.shape[0], 2 * rx.shape[1]))
-    llrs[:, 0::2] = gain * rx.real
-    llrs[:, 1::2] = gain * rx.imag
-    llrs = llrs[:, :n_bits]
-    return llrs[0] if np.asarray(received).ndim == 1 else llrs
+    llrs = np.empty((received.shape[0], 2 * received.shape[1]))
+    llrs[:, 0::2] = gain * received.real
+    llrs[:, 1::2] = gain * received.imag
+    return llrs[:, :n_bits]

@@ -11,13 +11,12 @@ from ..channels import SeededRng
 class ParityCheckMatrix:
     """Sparse binary parity-check matrix with Tanner-graph bookkeeping."""
 
-    def __init__(self, matrix, seed: int | None = None):
+    def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.uint8)
         csr.eliminate_zeros()
         csr.data[:] = 1
         csr.sort_indices()
         self._csr = csr
-        self.seed = seed
         self._girth: int | None | str = "unset"
         self._encoder = None
         self._simulator = None
@@ -34,10 +33,6 @@ class ParityCheckMatrix:
     @property
     def num_checks(self) -> int:
         return self._csr.shape[0]
-
-    @property
-    def design_rate(self) -> float:
-        return 1.0 - self.num_checks / self.n
 
     def col_weights(self) -> np.ndarray:
         return np.diff(self._csr.tocsc().indptr)
@@ -260,6 +255,6 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
     matrix = sp.csr_matrix(
         (np.ones(n * w_c, dtype=np.uint8), (edge_chk, edge_var)), shape=(m, n)
     )
-    h = ParityCheckMatrix(matrix, seed=rng.seed)
+    h = ParityCheckMatrix(matrix)
     h._girth = girth
     return h

@@ -34,16 +34,15 @@ class FrameScrambler:
         self.inverse = inverse
 
     def apply(self, bits) -> np.ndarray:
+        """Scramble (batch, length) frames."""
         return self._mul(bits, self.matrix)
 
     def invert_bits(self, bits) -> np.ndarray:
+        """Descramble (batch, length) frames."""
         return self._mul(bits, self.inverse)
 
     def _mul(self, bits, mat) -> np.ndarray:
         arr = np.asarray(bits, dtype=np.uint8)
-        squeeze = arr.ndim == 1
-        arr = np.atleast_2d(arr)
-        if arr.shape[1] != self.length:
-            raise ValueError(f"expected frames of {self.length} bits")
-        out = gf2.matmul_mod2(arr, mat.T)
-        return out[0] if squeeze else out
+        if arr.ndim != 2 or arr.shape[1] != self.length:
+            raise ValueError(f"expected (batch, {self.length}) frames")
+        return gf2.matmul_mod2(arr, mat.T)

@@ -23,6 +23,9 @@ from .peg import ParityCheckMatrix
 from .scramble import FrameScrambler
 
 _Z95 = 1.959963984540054
+# Most frames a worker decodes per round; frame i's draws and the stopping
+# frame do not depend on it.
+_BATCH = 128
 # dB the security-gap walk may go either side of the DE threshold
 _GAP_SPAN_DB = 6.0
 # Message precision of the simulator's decoder. float32 halves the cost of
@@ -47,13 +50,14 @@ class FerBerEstimate:
         ]
 
 
-def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(errors: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 1.0
     p = errors / trials
-    denom = 1.0 + z * z / trials
-    return float(z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom)
+    z2 = _Z95 * _Z95
+    denom = 1.0 + z2 / trials
+    return float(_Z95 * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom)
 
 
 class FrameSimulator:
@@ -104,7 +108,6 @@ def fer_ber_sim(
     max_iter: int,
     rng: SeededRng,
     workers: int = 1,
-    batch: int = 128,
 ) -> FerBerEstimate:
     """Estimate FER/BER at one SNR, stopping at ``target_frame_errors``.
 
@@ -130,7 +133,7 @@ def fer_ber_sim(
             # frames that yield `need` errors at the FER seen so far, with
             # one extra failed frame counted so that it is never zero
             expected = -(-need * (frames + 1) // (fe_total + 1))
-            size = min(expected, lanes * batch, max_frames - frames)
+            size = min(expected, lanes * _BATCH, max_frames - frames)
             chunks = np.array_split(np.arange(frames, frames + size), min(lanes, size))
             args = [(sim, ids, snr_lambda, max_iter, rng.seed, rng.stream)
                     for ids in chunks]

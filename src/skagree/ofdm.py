@@ -127,8 +127,8 @@ def effective_channels(cfg: OfdmConfig, g_legit, g_eave) -> EffectiveChannels:
 
 
 def eavesdropper_column_energies(cfg: OfdmConfig, taps: np.ndarray,
-                                 subcarrier) -> np.ndarray:
-    """Squared norm of eavesdropper-matrix column(s) without the dense product.
+                                 subcarriers: np.ndarray) -> np.ndarray:
+    """Squared norms of eavesdropper-matrix columns without the dense product.
 
     Each column of the eavesdropper matrix is the convolution of the taps
     with a pure tone of constant modulus 1/sqrt(M), so its energy reduces to
@@ -136,20 +136,15 @@ def eavesdropper_column_energies(cfg: OfdmConfig, taps: np.ndarray,
     overlapped output samples carry |full sum|^2 each, and the convolution
     ramps contribute the prefix and suffix partial sums once.
 
-    ``taps``: (L,) or (batch, L); ``subcarrier``: scalar or (batch,).
+    ``taps``: (batch, L); ``subcarriers``: (batch,) integers, one column
+    per row of taps.
     """
-    arr = np.asarray(taps, dtype=complex)
-    squeeze = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    m_idx = np.atleast_1d(np.asarray(subcarrier, dtype=int))
-    if m_idx.size == 1 and arr.shape[0] > 1:
-        m_idx = np.full(arr.shape[0], m_idx[0])
-    n_taps = arr.shape[1]
+    n_taps = taps.shape[1]
     big_n, big_m = cfg.block_len, cfg.subcarriers
     if n_taps > big_n:
         raise ValueError("channel longer than one OFDM block")
-    phase = np.exp(-2j * np.pi * np.outer(m_idx, np.arange(n_taps)) / big_m)
-    twisted = arr * phase
+    phase = np.exp(-2j * np.pi * np.outer(subcarriers, np.arange(n_taps)) / big_m)
+    twisted = taps * phase
     prefix = np.cumsum(twisted, axis=1)
     full = prefix[:, -1]
     energy = (big_n - n_taps + 1) * np.abs(full) ** 2
@@ -157,5 +152,4 @@ def eavesdropper_column_energies(cfg: OfdmConfig, taps: np.ndarray,
         suffix = full[:, None] - prefix[:, :-1]
         energy = energy + np.sum(np.abs(prefix[:, :-1]) ** 2
                                  + np.abs(suffix) ** 2, axis=1)
-    energy = energy / big_m
-    return float(energy[0]) if squeeze else energy
+    return energy / big_m

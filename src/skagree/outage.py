@@ -23,6 +23,8 @@ _DEGENERATE_GAP = 1e-6
 _COEFF_BLOWUP = 1e8
 _EIGENVALUE_CUTOFF = 1e-12
 _INTERVAL_CONFIDENCE = 0.999
+# Legitimate channels drawn per chunk; the streams are counter-based, so
+# no result depends on it.
 _CHUNK = 8192
 
 
@@ -131,7 +133,7 @@ def _hypoexponential_cdf_phase_type(theta: np.ndarray, lam: np.ndarray):
     return np.clip(out, 0.0, 1.0)
 
 
-def lambda_e_cdf(theta, spec: EigenSpectrum | np.ndarray):
+def lambda_e_cdf(theta, spec: EigenSpectrum):
     """CDF of the eavesdropper SNR: sum of Exp(mean lambda_i) variables.
 
     Uses the partial-fraction closed form when the spectrum is distinct and
@@ -142,12 +144,8 @@ def lambda_e_cdf(theta, spec: EigenSpectrum | np.ndarray):
     arr = np.asarray(theta, dtype=float).reshape(-1)
     if np.any(arr < 0):
         raise ValueError("theta must be nonnegative")
-    lam = (
-        spec.eigenvalues
-        if isinstance(spec, EigenSpectrum)
-        else EigenSpectrum(np.asarray(spec, dtype=float)).eigenvalues
-    )
-    lam = lam[lam > 0.0]  # an exactly-zero eigenvalue adds an Exp(0) term: zero
+    # an exactly-zero eigenvalue adds an Exp(0) term: zero
+    lam = spec.eigenvalues[spec.eigenvalues > 0.0]
     if lam.size == 0:
         out = np.ones_like(arr)  # degenerate point mass at zero
     elif lam.size == 1:
@@ -215,15 +213,13 @@ class RateCdf:
         return samples, np.arange(1, samples.size + 1) / samples.size
 
 
-def _legit_peaks(
-    cfg: OfdmConfig, pdp_legit: PdpProfile, samples: int, rng: SeededRng, chunk: int
-):
+def _legit_peaks(cfg: OfdmConfig, pdp_legit: PdpProfile, samples: int, rng: SeededRng):
     """Chunks of (best subcarrier, squared peak gain) of the legitimate link.
 
     Both rate-outage estimators draw their legitimate channels here, from
     ``rng.spawn(0)``, so they share one peak law; the counter-based stream
-    makes the draws independent of ``chunk``. Arguments are checked at call
-    time, before the first chunk is drawn.
+    makes the draws independent of ``_CHUNK``. Arguments are checked at
+    call time, before the first chunk is drawn.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -234,7 +230,7 @@ def _legit_peaks(
     def chunks():
         done = 0
         while done < samples:
-            take = min(chunk, samples - done)
+            take = min(_CHUNK, samples - done)
             taps = sample_tap_matrix(pdp_legit, rng_legit, take)
             gains = np.abs(np.fft.fft(taps, n=cfg.subcarriers, axis=1))
             m_best = np.argmax(gains, axis=1)
@@ -251,7 +247,6 @@ def sk_rate_outage_cdf(
     target_lambda_r_db: float,
     samples: int,
     rng: SeededRng,
-    chunk: int = _CHUNK,
 ) -> RateCdf:
     """Monte Carlo CDF of the achievable rates at a fixed legitimate SNR.
 
@@ -259,12 +254,12 @@ def sk_rate_outage_cdf(
     so the legitimate SNR hits the dB target exactly, and evaluate both the
     secret-key rate and the (reconstructed) secrecy comparison rate.
     """
-    peaks = _legit_peaks(cfg, pdp_legit, samples, rng, chunk)
+    peaks = _legit_peaks(cfg, pdp_legit, samples, rng)
     target = 10.0 ** (target_lambda_r_db / 10.0)
     sk = np.empty(samples)
     sec = np.empty(samples)
     overhead = 1.0 + cfg.cp_overhead
-    # one stream per link keeps results independent of the chunk size
+    # one stream per link keeps results independent of ``_CHUNK``
     rng_eave = rng.spawn(1)
     done = 0
     for m_best, peak_sq in peaks:
@@ -308,9 +303,10 @@ def sk_rate_outage_probability(
     the legitimate peak is drawn, from the stream ``sk_rate_outage_cdf``
     uses for the legitimate link; the eavesdropper average is exact, so no
     indicator variance is left at small outage probabilities. Rates at or
-    above log2(1 + target) give probability 1, rates <= 0 give 0.
+    above log2(1 + target) give probability 1, rates <= 0 give 0, and
+    when no rate is above 0 no peak is drawn.
     """
-    peaks = _legit_peaks(cfg, pdp_legit, samples, rng, _CHUNK)
+    peaks = _legit_peaks(cfg, pdp_legit, samples, rng)
     target = 10.0 ** (target_lambda_r_db / 10.0)
     r = np.atleast_1d(np.asarray(rates, dtype=float))
     theta = np.zeros(r.size)
@@ -321,8 +317,9 @@ def sk_rate_outage_probability(
         build_c_matrix(cfg, pdp_eave, 1.0 + cfg.cp_overhead)
     )
     total = np.zeros(r.size)
-    for _, peak_sq in peaks:
-        grid = theta[positive, None] * peak_sq / target  # (positive rates, peaks)
-        total[positive] += np.sum(1.0 - lambda_e_cdf(grid, spec), axis=1)
+    if positive.any():
+        for _, peak_sq in peaks:
+            grid = theta[positive, None] * peak_sq / target  # (positive rates, peaks)
+            total[positive] += np.sum(1.0 - lambda_e_cdf(grid, spec), axis=1)
     out = total / samples
     return float(out[0]) if np.ndim(rates) == 0 else out

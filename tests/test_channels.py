@@ -43,7 +43,7 @@ class TestExponentialPdp:
     def test_geometric_normalization(self):
         pdp = exponential_pdp(16, -10.0, decay=0.5)
         assert abs(pdp.tap_powers[0] / pdp.tap_powers[1] - np.exp(0.5)) < 1e-12
-        assert abs(pdp.total_gain - 0.1) < 1e-12 * 0.1
+        assert abs(pdp.tap_powers.sum() - 0.1) < 1e-12 * 0.1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

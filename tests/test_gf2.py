@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skagree.ldpc.gf2 import invert, pack_rows, rank, rref, unpack_rows
+from skagree.ldpc.gf2 import invert, pack_rows, rref, unpack_rows
 
 
 def reference_rref(bits: np.ndarray, n: int | None = None) -> tuple[np.ndarray, list[int]]:
@@ -69,7 +69,6 @@ def test_rref_matches_reference(name, bits):
     pivots = rref(words, bits.shape[1])
     assert pivots == expected_pivots
     assert np.array_equal(unpack_rows(words, bits.shape[1]), expected)
-    assert rank(bits) == len(expected_pivots)
 
 
 def _square(rng, k, singular):

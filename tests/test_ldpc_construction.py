@@ -47,7 +47,7 @@ class TestPegConstruct:
 
     def test_design_rate(self):
         h = peg_construct(100, 0.25, 3, SeededRng(2))
-        assert h.design_rate == pytest.approx(0.25)
+        assert 1.0 - h.num_checks / h.n == pytest.approx(0.25)
 
 
 def reference_peg_construct(
@@ -136,7 +136,7 @@ def reference_peg_construct(
     matrix = sp.csr_matrix(
         (np.ones(n * w_c, dtype=np.uint8), (edge_chk, edge_var)), shape=(m, n)
     )
-    h = ParityCheckMatrix(matrix, seed=rng.seed)
+    h = ParityCheckMatrix(matrix)
     h._girth = girth
     return h
 
@@ -313,7 +313,7 @@ class TestEncoder:
     def test_zero_message_zero_codeword(self):
         h = peg_construct(60, 0.5, 3, SeededRng(3))
         enc = h.encoder()
-        assert not enc.encode(np.zeros(enc.k, dtype=np.uint8)).any()
+        assert not enc.encode_batch(np.zeros((1, enc.k), dtype=np.uint8)).any()
 
     def test_codewords_satisfy_checks(self):
         h = peg_construct(120, 0.25, 3, SeededRng(4))
@@ -332,10 +332,8 @@ class TestEncoder:
             for word in itertools.product((0, 1), repeat=12)
             if not h.syndrome(np.array(word, dtype=np.uint8)).any()
         }
-        image = {
-            tuple(enc.encode(np.array(msg, dtype=np.uint8)))
-            for msg in itertools.product((0, 1), repeat=enc.k)
-        }
+        msgs = np.array(list(itertools.product((0, 1), repeat=enc.k)), dtype=np.uint8)
+        image = {tuple(word) for word in enc.encode_batch(msgs)}
         assert image == brute
 
     def test_rank_deficiency_reported_not_fatal(self):
@@ -345,7 +343,7 @@ class TestEncoder:
         assert enc.rank == 15
         assert enc.k == 15
         assert enc.true_rate == pytest.approx(0.5)
-        word = enc.encode(SeededRng(1).bits(enc.k))
+        word = enc.encode_batch(SeededRng(1).bits((1, enc.k)))[0]
         assert not (redundant @ word % 2).any()
 
 

@@ -11,6 +11,7 @@ from skagree.ldpc import (
     decoding_threshold,
     peg_construct,
 )
+from skagree.ldpc.decoder import _CLAMP
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 from skagree.ldpc.sim import MESSAGE_DTYPE, FrameSimulator, wilson_halfwidth
 
@@ -39,16 +40,15 @@ class LogDomainDecoder:
     _LOG_FLOOR = 1e-300
     _TANH_CEIL = 1.0 - 1e-15
 
-    def __init__(self, h: ParityCheckMatrix, clamp: float = 30.0):
+    def __init__(self, h: ParityCheckMatrix):
         self.h = h
-        self.clamp = clamp
         self.chk_of_edge, self.var_of_edge = h.tanner_edges()
         self.chk_starts = np.concatenate([[0], np.cumsum(h.row_weights())[:-1]])
         self.var_perm = np.argsort(self.var_of_edge, kind="stable")
         self.var_starts = np.concatenate([[0], np.cumsum(h.col_weights())[:-1]])
 
     def decode_batch(self, llrs, max_iter: int = 100):
-        llrs = np.clip(np.asarray(llrs, dtype=float), -self.clamp, self.clamp)
+        llrs = np.clip(np.asarray(llrs, dtype=float), -_CLAMP, _CLAMP)
         batch = llrs.shape[0]
         bits = (llrs < 0).astype(np.uint8)
         converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
@@ -65,9 +65,7 @@ class LogDomainDecoder:
         for it in range(1, max_iter + 1):
             c2v = self.check_update(v2c)
             totals = self.variable_totals(llr_act, c2v)
-            v2c = np.clip(
-                totals[:, self.var_of_edge] - c2v, -self.clamp, self.clamp
-            )
+            v2c = np.clip(totals[:, self.var_of_edge] - c2v, -_CLAMP, _CLAMP)
             hard = (totals < 0).astype(np.uint8)
             ok = ~np.any(self.h.syndrome(hard), axis=1) & np.all(
                 totals != 0.0, axis=1
@@ -111,8 +109,8 @@ class LogDomainDecoder:
 def channel_llrs(word: np.ndarray, snr_db: float, rng: SeededRng) -> np.ndarray:
     """One codeword's QPSK/AWGN channel LLRs, as the frame simulator draws them."""
     snr = 10 ** (snr_db / 10)
-    rx = qpsk_symbols(word, snr) + rng.complex_normals((word.size + 1) // 2)
-    return llrs_from_rx(rx, snr, word.size)
+    rx = qpsk_symbols(word[None], snr) + rng.complex_normals((1, (word.size + 1) // 2))
+    return llrs_from_rx(rx, snr, word.size)[0]
 
 
 def noisy_llrs(h: ParityCheckMatrix, snr_db: float, frames: int, rng: SeededRng):
@@ -135,7 +133,7 @@ def hamming_codewords():
 
 def test_noiseless_codeword_converges_immediately():
     h = peg_construct(60, 0.5, 3, SeededRng(2))
-    word = h.encoder().encode(SeededRng(3).bits(h.encoder().k))
+    word = h.encoder().encode_batch(SeededRng(3).bits((1, h.encoder().k)))[0]
     llrs = 20.0 * (1.0 - 2.0 * word.astype(float))
     bits, conv, iters = SumProductDecoder(h).decode_batch(llrs[None], max_iter=50)
     assert conv[0]
@@ -181,7 +179,7 @@ def test_convergence_implies_zero_syndrome():
     for snr_db in (-4.0, -2.0, 0.0):
         for trial in range(30):
             stream = rng.spawn(hash((snr_db, trial)) % (2**32))
-            word = enc.encode(stream.bits(enc.k))
+            word = enc.encode_batch(stream.bits((1, enc.k)))[0]
             llrs = channel_llrs(word, snr_db, stream)
             bits, conv, _ = decoder.decode_batch(llrs[None], max_iter=30)
             if conv[0]:
@@ -198,7 +196,7 @@ def test_batch_matches_single_frame():
     llr_rows = []
     for i in range(frames):
         stream = rng.spawn(i)
-        word = enc.encode(stream.bits(enc.k))
+        word = enc.encode_batch(stream.bits((1, enc.k)))[0]
         llr_rows.append(channel_llrs(word, -1.0, stream))
     llrs = np.array(llr_rows)
     bits_b, conv_b, iters_b = decoder.decode_batch(llrs, max_iter=40)
@@ -387,34 +385,24 @@ def test_results_do_not_depend_on_slice_size(window_frames, code512):
     assert np.array_equal(iters, ref_iters)
 
 
-@pytest.mark.parametrize("which", ["clamp-40", "degree-1-checks"])
+@pytest.mark.parametrize("which", ["degree-1-checks"])
 def test_arctanh_ceiling_clip_where_it_can_bind(which, code512):
     """The ceiling clip keeps arctanh finite where a product reaches 1.0.
 
-    At ``clamp`` 40, tanh(20) rounds to 1.0; a check of degree 1 has the
-    empty product 1.0 whatever the clamp. Without the clip either case would
-    raise on ``arctanh(1.0)``. Frames the oracle converges match it.
+    A check of degree 1 has the empty product 1.0; without the clip it
+    would raise on ``arctanh(1.0)``. Frames the oracle converges match it.
     """
-    h, clamp, snr_db = code512, 30.0, -1.5
-    if which == "clamp-40":
-        clamp, snr_db = 40.0, -2.5
-    else:
-        units = np.zeros((3, h.n), dtype=np.uint8)
-        units[np.arange(3), [0, 100, 511]] = 1
-        h = ParityCheckMatrix(np.vstack([h.to_dense(), units]))
-    snr = 10 ** (snr_db / 10)
+    units = np.zeros((3, code512.n), dtype=np.uint8)
+    units[np.arange(3), [0, 100, 511]] = 1
+    h = ParityCheckMatrix(np.vstack([code512.to_dense(), units]))
+    snr = 10 ** (-1.5 / 10)
     words = np.zeros((60, h.n), dtype=np.uint8)
     noise = SeededRng(23).complex_normals((60, (h.n + 1) // 2))
     llrs = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, h.n)
-    if which == "clamp-40":
-        # reliable bits past the clamp: their tanh factors round to 1.0
-        llrs[SeededRng(24).uniform(llrs.shape) < 0.1] = 45.0
-    decoder = SumProductDecoder(h, clamp=clamp)
+    decoder = SumProductDecoder(h)
     with np.errstate(all="raise"):
         bits, conv, iters = decoder.decode_batch(llrs, max_iter=30)
-    ref_bits, ref_conv, ref_iters = LogDomainDecoder(h, clamp).decode_batch(
-        llrs, max_iter=30
-    )
+    ref_bits, ref_conv, ref_iters = LogDomainDecoder(h).decode_batch(llrs, max_iter=30)
     assert 0 < ref_conv.sum() < len(llrs)
     assert np.array_equal(conv[ref_conv], ref_conv[ref_conv])
     assert np.array_equal(bits[ref_conv], ref_bits[ref_conv])
@@ -438,8 +426,8 @@ def test_leave_one_out_products_match_log_domain(code512):
     v2c = rng.normal(0.0, 8.0, (40, decoder.n_edges))
     pick = rng.random(v2c.shape)
     v2c[pick < 0.05] = 0.0
-    v2c[(pick >= 0.05) & (pick < 0.10)] = decoder.clamp
-    v2c[(pick >= 0.10) & (pick < 0.15)] = -decoder.clamp
+    v2c[(pick >= 0.05) & (pick < 0.10)] = _CLAMP
+    v2c[(pick >= 0.10) & (pick < 0.15)] = -_CLAMP
     ref = oracle.leave_one_out(v2c)
     tanh = np.tanh(0.5 * v2c)
     t = np.empty_like(v2c.T)  # edge-major, as the decoder holds it
@@ -563,14 +551,14 @@ def test_float32_ceiling_and_window(code512):
     edges = decoder.n_edges + 1
     assert decoder._window_frames == (1 << 19) // (4 * edges)
     assert reference._window_frames == (1 << 19) // (8 * edges)
-    # half posteriors at +-clamp/2: every factor rounds to +-1.0
+    # half posteriors at +-_CLAMP/2: every factor rounds to +-1.0
     signs = np.where(SeededRng(17).uniform((edges - 1, 8)) < 0.5, -1.0, 1.0)
-    t = (0.5 * decoder.clamp * signs).astype(np.float32)
+    t = (0.5 * _CLAMP * signs).astype(np.float32)
     c = np.zeros((edges, 8), dtype=np.float32)
     with np.errstate(all="raise"):
         decoder._check_update(t, c)
     cap = np.arctanh(decoder._tanh_ceil)
-    assert 8.66 < cap < 8.67 < 0.5 * decoder.clamp
+    assert 8.66 < cap < 8.67 < 0.5 * _CLAMP
     assert c.dtype == np.float32 and np.all(np.abs(c[:-1]) == cap)
 
 

@@ -6,8 +6,8 @@ from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 
 def qpsk_awgn_llrs(bits, snr_lambda, rng):
     """Channel LLRs of ``bits`` over QPSK/AWGN, as the frame simulator draws them."""
-    sym = qpsk_symbols(bits, snr_lambda)
-    return llrs_from_rx(sym + rng.complex_normals(sym.shape), snr_lambda, bits.size)
+    sym = qpsk_symbols(bits[None], snr_lambda)
+    return llrs_from_rx(sym + rng.complex_normals(sym.shape), snr_lambda, bits.size)[0]
 
 
 def test_noiseless_limit_recovers_bits():
@@ -36,7 +36,7 @@ def test_llr_variance_consistency():
 def test_symbol_energy_equals_snr():
     bits = SeededRng(5).bits(2000)
     for lam in (0.25, 1.0, 4.0):
-        sym = qpsk_symbols(bits, lam)
+        sym = qpsk_symbols(bits[None], lam)
         assert np.allclose(np.abs(sym) ** 2, lam)
 
 

@@ -159,7 +159,7 @@ class TestEavesdropperColumnEnergy:
             ch = effective_channels(cfg, [1.0], g)
             for m in (0, 9, 31):
                 dense = np.sum(np.abs(ch.eavesdropper_matrix[:, m]) ** 2)
-                fast = eavesdropper_column_energies(cfg, g, m)
+                fast = eavesdropper_column_energies(cfg, g[None], np.array([m]))[0]
                 assert abs(dense - fast) < 1e-12 * max(1.0, dense)
 
     def test_batch_agrees_with_scalar(self):
@@ -169,7 +169,8 @@ class TestEavesdropperColumnEnergy:
         m_idx = np.array([0, 2, 7, 11, 15])
         batch = eavesdropper_column_energies(cfg, taps, m_idx)
         singles = [
-            eavesdropper_column_energies(cfg, taps[i], int(m_idx[i])) for i in range(5)
+            eavesdropper_column_energies(cfg, taps[i:i + 1], m_idx[i:i + 1])[0]
+            for i in range(5)
         ]
         assert np.allclose(batch, singles, rtol=1e-13)
 

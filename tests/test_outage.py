@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import skagree.outage as outage
 from skagree.channels import SeededRng, exponential_pdp, sample_tap_matrix
 from skagree.ofdm import OfdmConfig, eavesdropper_column_energies, effective_channels
 from skagree.outage import (
@@ -37,11 +38,11 @@ class TestBuildCMatrix:
             assert not c.flags.writeable
 
     def test_trace_gives_mean_snr_power_times_gain(self):
-        # E{quadratic form} = trace = power * total_gain since N/M = 1 + rho
+        # E{quadratic form} = trace = power * total gain since N/M = 1 + rho
         cfg = OfdmConfig(subcarriers=64, cp_len=4)
         pdp = exponential_pdp(4, -10.0, 0.5)
         c = build_c_matrix(cfg, pdp, 3.0)
-        assert abs(np.trace(c) - 3.0 * pdp.total_gain) < 1e-12
+        assert abs(np.trace(c) - 3.0 * pdp.tap_powers.sum()) < 1e-12
 
     def test_matches_matrix_model_in_distribution(self):
         # ground truth: quadratic-form samples vs the full channel pipeline
@@ -52,7 +53,7 @@ class TestBuildCMatrix:
         n = 100_000
         analytic_draws = -np.log(1.0 - SeededRng(1).uniform((n, lam.size))) @ lam
         model_draws = power / (1 + cfg.cp_overhead) * eavesdropper_column_energies(
-            cfg, sample_tap_matrix(pdp, SeededRng(2), n), 9)
+            cfg, sample_tap_matrix(pdp, SeededRng(2), n), np.full(n, 9))
         res = stats.ks_2samp(analytic_draws, model_draws)
         assert res.statistic < 1.628 * np.sqrt(2.0 / n)
 
@@ -62,10 +63,10 @@ class TestBuildCMatrix:
         n = 60_000
         scale = 1.0 / (1 + cfg.cp_overhead)
         base = scale * eavesdropper_column_energies(
-            cfg, sample_tap_matrix(pdp, SeededRng(3), n), 0)
+            cfg, sample_tap_matrix(pdp, SeededRng(3), n), np.full(n, 0))
         for m in (17, 32):
             other = scale * eavesdropper_column_energies(
-                cfg, sample_tap_matrix(pdp, SeededRng(100 + m), n), m)
+                cfg, sample_tap_matrix(pdp, SeededRng(100 + m), n), np.full(n, m))
             assert stats.ks_2samp(base, other).pvalue > 0.01
 
     @pytest.mark.parametrize("m, mu, n_taps, decay, gain_db", [
@@ -279,11 +280,13 @@ class TestRateOutageCdf:
         assert cdf.rate_at_outage(0.2) == 2.0
         assert cdf.rate_at_outage(0.0) == 0.0
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         cfg = OfdmConfig(subcarriers=16, cp_len=4)
         pdp = exponential_pdp(4, -10.0, 0.5)
-        a = sk_rate_outage_cdf(cfg, pdp, pdp, -1.0, 300, SeededRng(10), chunk=37)
-        b = sk_rate_outage_cdf(cfg, pdp, pdp, -1.0, 300, SeededRng(10), chunk=300)
+        monkeypatch.setattr(outage, "_CHUNK", 37)
+        a = sk_rate_outage_cdf(cfg, pdp, pdp, -1.0, 300, SeededRng(10))
+        monkeypatch.setattr(outage, "_CHUNK", 300)
+        b = sk_rate_outage_cdf(cfg, pdp, pdp, -1.0, 300, SeededRng(10))
         assert np.array_equal(a.secret_key_rates, b.secret_key_rates)
 
     def test_outage_interval_ranks(self):
@@ -362,6 +365,29 @@ class TestConditionalRateOutage:
                    for r in rates]
         assert list(out) == singles
         assert 0.0 < out[1] < out[0] < 1.0
+
+    def test_no_rate_above_zero_draws_no_channel(self, monkeypatch):
+        # every such rate has probability 0, known before any draw; the
+        # arguments are still checked
+        draws = []
+
+        def spy(*args):
+            draws.append(args)
+            return sample_tap_matrix(*args)
+
+        monkeypatch.setattr(outage, "sample_tap_matrix", spy)
+        cfg = OfdmConfig(subcarriers=256, cp_len=16)
+        pdp = exponential_pdp(16, -10.0, 0.5)
+        out = sk_rate_outage_probability(cfg, pdp, pdp, -1.0, [0.0, -1.0], 200_000,
+                                         SeededRng(17))
+        assert list(out) == [0.0, 0.0] and draws == []
+        assert sk_rate_outage_probability(cfg, pdp, pdp, -1.0, 0.0, 10, SeededRng(17)) == 0.0
+        with pytest.raises(ValueError, match="at least one sample"):
+            sk_rate_outage_probability(cfg, pdp, pdp, -1.0, [0.0], 0, SeededRng(17))
+        long_pdp = exponential_pdp(17, -10.0, 0.5)
+        with pytest.raises(ValueError, match="longer than the cyclic prefix"):
+            sk_rate_outage_probability(cfg, long_pdp, pdp, -1.0, [0.0], 10, SeededRng(17))
+        assert draws == []
 
 
 def test_quadratic_form_validation():

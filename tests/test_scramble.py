@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from skagree.channels import SeededRng
 from skagree.ldpc import FrameScrambler
@@ -8,18 +9,18 @@ def test_round_trip_identity():
     rng = SeededRng(1)
     scr = FrameScrambler(1000, seed=42)
     for trial in range(5):
-        block = rng.bits(1000)
+        block = rng.bits((1, 1000))
         assert np.array_equal(scr.invert_bits(scr.apply(block)), block)
 
 
 def test_zero_block_round_trip():
-    zero = np.zeros(64, dtype=np.uint8)
+    zero = np.zeros((1, 64), dtype=np.uint8)
     scr = FrameScrambler(64, seed=3)
     assert not scr.invert_bits(scr.apply(zero)).any()
 
 
 def test_scrambling_actually_permutes_content():
-    block = SeededRng(2).bits(256)
+    block = SeededRng(2).bits((1, 256))
     assert not np.array_equal(FrameScrambler(256, seed=7).apply(block), block)
 
 
@@ -31,10 +32,10 @@ def test_single_error_avalanche():
     rng = SeededRng(12)
     fractions = []
     for _ in range(1000):
-        msg = rng.bits(k)
+        msg = rng.bits((1, k))
         coded = scr.apply(msg)
         pos = int(rng.uniform() * k)
-        coded[pos] ^= 1
+        coded[0, pos] ^= 1
         back = scr.invert_bits(coded)
         fractions.append(np.mean(back != msg))
     mean_fraction = float(np.mean(fractions))
@@ -47,8 +48,15 @@ def test_matrix_invertibility():
     assert np.array_equal(prod, np.eye(128, dtype=int))
 
 
+def test_frames_come_in_batches():
+    scr = FrameScrambler(64, seed=3)
+    for bad in (np.zeros(64, dtype=np.uint8), np.zeros((1, 63), dtype=np.uint8)):
+        with pytest.raises(ValueError, match=r"expected \(batch, 64\) frames"):
+            scr.apply(bad)
+
+
 def test_different_seeds_different_maps():
-    block = SeededRng(3).bits(128)
+    block = SeededRng(3).bits((1, 128))
     assert not np.array_equal(
         FrameScrambler(128, seed=1).apply(block), FrameScrambler(128, seed=2).apply(block)
     )

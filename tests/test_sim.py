@@ -80,7 +80,8 @@ def test_early_stop_decodes_no_frame_past_the_stop(small_code, monkeypatch):
     assert est.frames == est.frame_errors == 40
     assert sorted(decoded) == list(range(40))
     monkeypatch.undo()
-    assert est == fer_ber_sim(small_code, 10 ** (-1.0), rng=SeededRng(12), batch=1, **kwargs)
+    monkeypatch.setattr(sim_module, "_BATCH", 1)
+    assert est == fer_ber_sim(small_code, 10 ** (-1.0), rng=SeededRng(12), **kwargs)
 
 
 def test_early_stop_result_is_the_stopping_prefix(small_code, monkeypatch):
@@ -91,7 +92,8 @@ def test_early_stop_result_is_the_stopping_prefix(small_code, monkeypatch):
     assert sorted(decoded) == list(range(len(decoded)))
     assert len(decoded) >= est.frames
     monkeypatch.undo()
-    assert est == fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(12), batch=1, **kwargs)
+    monkeypatch.setattr(sim_module, "_BATCH", 1)
+    assert est == fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(12), **kwargs)
 
 
 class _InlineExecutor:
@@ -115,7 +117,8 @@ class _InlineExecutor:
 def test_rounds_split_evenly_over_workers(small_code, monkeypatch, target):
     monkeypatch.setattr(_InlineExecutor, "rounds", [])
     monkeypatch.setattr(sim_module._futures, "ProcessPoolExecutor", _InlineExecutor)
-    kwargs = dict(max_frames=300, target_frame_errors=target, max_iter=30, batch=16)
+    monkeypatch.setattr(sim_module, "_BATCH", 16)
+    kwargs = dict(max_frames=300, target_frame_errors=target, max_iter=30)
     est = fer_ber_sim(
         small_code, 10 ** (-0.15), rng=SeededRng(13), workers=3, **kwargs
     )
@@ -125,6 +128,7 @@ def test_rounds_split_evenly_over_workers(small_code, monkeypatch, target):
         assert len(sizes) == min(3, sum(sizes))
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 16
     monkeypatch.undo()
+    monkeypatch.setattr(sim_module, "_BATCH", 16)
     assert est == fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(13), **kwargs)
 
 
@@ -170,13 +174,11 @@ def test_deterministic_given_seed(small_code):
     assert a == b
 
 
-def test_batch_size_does_not_change_result(small_code):
-    a = fer_ber_sim(
-        small_code, 10 ** (-0.2), 96, 96, 25, SeededRng(6), batch=32,
-    )
-    b = fer_ber_sim(
-        small_code, 10 ** (-0.2), 96, 96, 25, SeededRng(6), batch=96,
-    )
+def test_batch_size_does_not_change_result(small_code, monkeypatch):
+    monkeypatch.setattr(sim_module, "_BATCH", 32)
+    a = fer_ber_sim(small_code, 10 ** (-0.2), 96, 96, 25, SeededRng(6))
+    monkeypatch.setattr(sim_module, "_BATCH", 96)
+    b = fer_ber_sim(small_code, 10 ** (-0.2), 96, 96, 25, SeededRng(6))
     assert a == b
 
 
