@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channels import RNG_ALGORITHM, SeededRng, exponential_pdp
-from .ldpc import decoding_threshold, fer_ber_sim, peg_construct, security_gap
+from .ldpc import FerBerEstimate, decoding_threshold, fer_ber_sim, peg_construct, security_gap
 from .ldpc.sim import MESSAGE_DTYPE
 from .ofdm import OfdmConfig, demodulator_matrix, modulator_matrix, toeplitz_conv_matrix
 from .outage import EigenSpectrum, build_c_matrix, lambda_e_cdf, sk_rate_outage_cdf
@@ -44,8 +44,8 @@ class Param(NamedTuple):
     ``type`` is int, float, str or list (a non-empty list of floats). An int
     key also takes an integral float; no key takes a bool, and no number key
     a string or a non-finite float. ``default`` is REQUIRED, or None for an
-    optional key with no fixed value. Numbers must lie in ``bounds``, an
-    interval such as "[1, inf)" or "(0, 1)".
+    optional key with no fixed value. Numbers, and the items of a list, must
+    lie in ``bounds``, an interval such as "[1, inf)" or "(0, 1)".
     """
 
     key: str
@@ -61,19 +61,16 @@ class Param(NamedTuple):
     def resolve(self, raw, kind: str):
         """``raw`` as this key's type; ConfigError if it is not one in bounds."""
         if self.type is str:
-            value = raw if isinstance(raw, str) else None
+            values = [raw if isinstance(raw, str) else None]
         elif self.type is list:
-            items = [_number(x, float) for x in raw] if isinstance(raw, list) else []
-            value = items if items and None not in items else None
+            values = [_number(x, float) for x in raw] if isinstance(raw, list) and raw else [None]
         else:
-            value = _number(raw, self.type)
-            if value is not None and self.bounds and not _within(value, self.bounds):
-                value = None
-        if value is None:
+            values = [_number(raw, self.type)]
+        if None in values or self.bounds and not all(_within(v, self.bounds) for v in values):
             raise ConfigError(
                 f"key {self.key!r} of kind {kind!r} takes {self.shape()}, not {raw!r}"
             )
-        return value
+        return values if self.type is list else values[0]
 
 
 def _number(raw, to: type):
@@ -91,6 +88,8 @@ def _within(value, bounds: str) -> bool:
             and (value < hi or bounds[-1] == "]" and value == hi))
 
 
+# dB keys: far enough out for any experiment, and 10 ** (db / 10) stays finite
+_DB = "[-300, 300]"
 # keys that several kinds share
 _OFDM = (
     Param("m", int, "subcarriers", bounds="[2, inf)"),
@@ -98,7 +97,7 @@ _OFDM = (
 )
 _L_R = Param("l_r", int, "legitimate channel taps (<= mu)", bounds="[1, inf)")
 _L_E = Param("l_e", int, "eavesdropper channel taps", bounds="[1, inf)")
-_GAMMA_E = Param("gamma_e_db", float, "dB, eavesdropper total channel gain")
+_GAMMA_E = Param("gamma_e_db", float, "dB, eavesdropper total channel gain", bounds=_DB)
 _DECAY = Param("decay", float, "PDP decay in nats per tap", 0.5, "[0, inf)")
 _W_C = Param("w_c", int, "column weight", bounds="[2, inf)")
 _CODE = (
@@ -159,18 +158,16 @@ def _run_diag_check(p: dict, rng: SeededRng, workers: int):
     r_mat = demodulator_matrix(ofdm, p["l_r"])
     t_mat = modulator_matrix(ofdm)
     rows = []
-    worst_off = worst_diag = 0.0
     for trial in range(p["trials"]):
         taps = rng.spawn(trial).complex_normals(p["l_r"])
         product = r_mat @ toeplitz_conv_matrix(taps, ofdm.block_len) @ t_mat
         expected = np.fft.fft(taps, n=ofdm.subcarriers)
         off = float(np.max(np.abs(product - np.diag(np.diag(product)))))
         diag_err = float(np.max(np.abs(np.diag(product) - expected)))
-        worst_off = max(worst_off, off)
-        worst_diag = max(worst_diag, diag_err)
         rows.append([trial, off, diag_err])
     files = {"csv": (["trial", "max_offdiag", "max_diag_error"], rows)}
-    meta = {"worst_offdiag": worst_off, "worst_diag_error": worst_diag}
+    _, offs, diag_errs = zip(*rows)
+    meta = {"worst_offdiag": max(offs), "worst_diag_error": max(diag_errs)}
     return files, meta
 
 
@@ -205,6 +202,11 @@ def _build_code(p: dict, rng: SeededRng):
 _POINT_HEADER = ["snr_db", "frames", "frame_errors", "bit_errors", "fer", "ber", "ci95"]
 
 
+def _point_row(snr_db: float, est: FerBerEstimate) -> list:
+    return [snr_db, est.frames, est.frame_errors, est.bit_errors, est.fer, est.ber,
+            est.confidence_halfwidth]
+
+
 def _run_fer_sim(p: dict, rng: SeededRng, workers: int):
     code, code_meta = _build_code(p, rng)
     rows = []
@@ -213,7 +215,7 @@ def _run_fer_sim(p: dict, rng: SeededRng, workers: int):
             code, 10.0 ** (snr_db / 10.0), p["max_frames"], p["target_frame_errors"],
             p["max_iter"], rng.spawn(int(round(snr_db * 1000))), workers=workers,
         )
-        rows.append(est.as_csv_row(snr_db))
+        rows.append(_point_row(snr_db, est))
     return {"csv": (_POINT_HEADER, rows)}, code_meta
 
 
@@ -227,7 +229,7 @@ def _run_security_gap(p: dict, rng: SeededRng, workers: int):
     rows = [[result.secure_snr_db, result.reliable_snr_db, result.gap_db]]
     files = {
         "csv": (["lambda_e_db", "lambda_r_db", "gap_db"], rows),
-        "grid.csv": (_POINT_HEADER, [est.as_csv_row(db) for db, est in result.points]),
+        "grid.csv": (_POINT_HEADER, [_point_row(db, est) for db, est in result.points]),
     }
     return files, code_meta
 
@@ -236,13 +238,12 @@ def _run_sk_cdf(p: dict, rng: SeededRng, workers: int):
     pdp_r = exponential_pdp(p["l_r"], p["gamma_r_db"], p["decay"])
     pdp_e = exponential_pdp(p["l_e"], p["gamma_e_db"], p["decay"])
     cdf = sk_rate_outage_cdf(_ofdm(p), pdp_r, pdp_e, p["target_lambda_r_db"], p["samples"], rng)
-    files = {}
-    for kind, name in (("secret_key", "csv"), ("secrecy", "secrecy.csv")):
-        rates, prob = cdf.cdf_points(kind)
-        files[name] = (
-            ["rate_bits_per_use", "cumulative_probability"],
-            [[float(r), float(q)] for r, q in zip(rates, prob)],
-        )
+    prob = np.arange(1, p["samples"] + 1) / p["samples"]
+    header = ["rate_bits_per_use", "cumulative_probability"]
+    files = {
+        "csv": (header, np.column_stack((cdf.secret_key_rates, prob)).tolist()),
+        "secrecy.csv": (header, np.column_stack((cdf.secrecy_rates, prob)).tolist()),
+    }
     meta = {
         "secrecy_curve": "reconstructed comparison curve",
         "rate_at_outage": {str(q): cdf.rate_at_outage(q) for q in (1e-3, 1e-2, 1e-1)},
@@ -277,12 +278,12 @@ KINDS: dict[str, tuple] = {
         Param("tol_db", float, "dB, bisection width", 0.05, "(0, inf)"),
         _MAX_ITER._replace(default=1000),
         Param("xi_target", float, "divergence declaration level", 1.0, "(0, inf)"),
-        Param("lo_db", float, "dB, bottom of the search bracket", -20.0),
-        Param("hi_db", float, "dB, top of the search bracket", 20.0),
+        Param("lo_db", float, "dB, bottom of the search bracket", -20.0, _DB),
+        Param("hi_db", float, "dB, top of the search bracket", 20.0, _DB),
     )),
     "fer-sim": (_run_fer_sim, (
         *_CODE,
-        Param("snr_db_list", list, "dB, symbol SNR grid"),
+        Param("snr_db_list", list, "dB, symbol SNR grid", bounds=_DB),
         *_frame_budget(REQUIRED, 100),
     )),
     "security-gap": (_run_security_gap, (
@@ -294,9 +295,9 @@ KINDS: dict[str, tuple] = {
     )),
     "sk-cdf": (_run_sk_cdf, (
         *_OFDM, _L_R, _L_E,
-        Param("gamma_r_db", float, "dB, legitimate total channel gain"),
+        Param("gamma_r_db", float, "dB, legitimate total channel gain", bounds=_DB),
         _GAMMA_E,
-        Param("target_lambda_r_db", float, "dB, enforced legitimate SNR"),
+        Param("target_lambda_r_db", float, "dB, enforced legitimate SNR", bounds=_DB),
         Param("samples", int, "Monte Carlo draws", bounds="[1, inf)"),
         _DECAY,
     )),

@@ -10,51 +10,50 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .peg import ParityCheckMatrix
+from .peg import ParityCheckMatrix, _adjacency_arrays
 
 
 def write_alist(h: ParityCheckMatrix, path) -> None:
-    csc = h.to_sparse().tocsc()
-    csr = h.to_sparse()
-    n, m = h.n, h.num_checks
-    col_w = np.diff(csc.indptr)
-    row_w = np.diff(csr.indptr)
-    max_col = int(col_w.max(initial=0))
-    max_row = int(row_w.max(initial=0))
+    # the adjacency arrays pad with -1, which becomes the alist's 0
+    check_adj, var_adj = _adjacency_arrays(h.to_sparse())
     lines = [
-        f"{n} {m}",
-        f"{max_col} {max_row}",
-        " ".join(str(w) for w in col_w),
-        " ".join(str(w) for w in row_w),
+        f"{h.n} {h.num_checks}",
+        f"{var_adj.shape[1]} {check_adj.shape[1]}",
+        " ".join(map(str, h.col_weights())),
+        " ".join(map(str, h.row_weights())),
     ]
-    for v in range(n):
-        rows = csc.indices[csc.indptr[v]:csc.indptr[v + 1]] + 1
-        padded = list(rows) + [0] * (max_col - rows.size)
-        lines.append(" ".join(str(r) for r in padded))
-    for c in range(m):
-        cols = csr.indices[csr.indptr[c]:csr.indptr[c + 1]] + 1
-        padded = list(cols) + [0] * (max_row - cols.size)
-        lines.append(" ".join(str(col) for col in padded))
+    for adj in (var_adj, check_adj):
+        lines += [" ".join(map(str, row)) for row in (adj + 1).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _edges(lists, bound: int) -> set:
+    """(list, entry - 1) pairs; each entry in 1..bound, zeros only at the end."""
+    edges = set()
+    for i, entries in enumerate(lists):
+        used = len(entries)
+        while used and entries[used - 1] == 0:
+            used -= 1
+        if not all(1 <= e <= bound for e in entries[:used]):
+            raise ValueError("malformed alist file")
+        edges.update((i, e - 1) for e in entries[:used])
+    return edges
+
+
 def read_alist(path) -> ParityCheckMatrix:
+    """The matrix of an alist file; ValueError if its sections disagree."""
     with open(path) as fh:
         rows = [[int(tok) for tok in line.split()] for line in fh if line.strip()]
     n, m = rows[0]
-    col_w = rows[2]
-    if len(col_w) != n or len(rows) < 4 + n:
+    if len(rows) != 4 + n + m:
         raise ValueError("malformed alist file")
-    entries_c = []
-    entries_v = []
-    for v in range(n):
-        for r in rows[4 + v]:
-            if r > 0:
-                entries_c.append(r - 1)
-                entries_v.append(v)
-    matrix = sp.csr_matrix(
-        (np.ones(len(entries_c), dtype=np.uint8), (entries_c, entries_v)),
-        shape=(m, n),
-    )
-    return ParityCheckMatrix(matrix)
+    var_edges = _edges(rows[4:4 + n], m)
+    if _edges(rows[4 + n:], n) != {(c, v) for v, c in var_edges}:
+        raise ValueError("malformed alist file")
+    v_idx, c_idx = np.array(list(var_edges), dtype=np.int64).reshape(-1, 2).T
+    h = ParityCheckMatrix(sp.csr_matrix(
+        (np.ones(v_idx.size, dtype=np.uint8), (c_idx, v_idx)), shape=(m, n)))
+    if h.col_weights().tolist() != rows[2] or h.row_weights().tolist() != rows[3]:
+        raise ValueError("malformed alist file")
+    return h

@@ -37,8 +37,7 @@ class Gf2Encoder:
             raise ValueError(f"messages must have shape (batch, {self.k})")
         words = np.zeros((msgs.shape[0], self.n), dtype=np.uint8)
         words[:, self.info_cols] = msgs
-        if self.rank:
-            words[:, self.pivot_cols] = gf2.matmul_mod2(msgs, self._phi.T)
+        words[:, self.pivot_cols] = gf2.matmul_mod2(msgs, self._phi.T)
         return words
 
 
@@ -51,7 +50,7 @@ def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n, dtype=np.int64), pivot_cols)
-    reduced = gf2.unpack_rows(words[:rank], n) if rank else np.zeros((0, n), np.uint8)
+    reduced = gf2.unpack_rows(words[:rank], n)
     phi = reduced[:, info_cols]
     return Gf2Encoder(
         n=n, k=n - rank, rank=rank, info_cols=info_cols,

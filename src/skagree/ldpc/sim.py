@@ -11,7 +11,9 @@ experiment, as a deployment holds one.
 from __future__ import annotations
 
 import concurrent.futures as _futures
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -42,12 +44,6 @@ class FerBerEstimate:
     frame_errors: int
     bit_errors: int
     confidence_halfwidth: float
-
-    def as_csv_row(self, snr_db: float) -> list:
-        return [
-            snr_db, self.frames, self.frame_errors, self.bit_errors,
-            self.fer, self.ber, self.confidence_halfwidth,
-        ]
 
 
 def wilson_halfwidth(errors: int, trials: int) -> float:
@@ -95,11 +91,6 @@ class FrameSimulator:
         return bit_errors > 0, bit_errors
 
 
-def _chunk_worker(args):
-    sim, frame_ids, snr_lambda, max_iter, seed, stream = args
-    return sim.run_frames(frame_ids, snr_lambda, max_iter, SeededRng(seed, stream))
-
-
 def fer_ber_sim(
     h: ParityCheckMatrix,
     snr_lambda: float,
@@ -122,12 +113,12 @@ def fer_ber_sim(
     if max_frames < 1 or target_frame_errors < 1:
         raise ValueError("frame counts must be positive")
     sim = h.simulator(rng.seed)
-    pool = None
-    if workers > 1:
-        pool = _futures.ProcessPoolExecutor(max_workers=workers)
     lanes = max(1, workers)
     frames = fe_total = be_total = 0
-    try:
+    # the rng pickles with its seed and stream, so frame i draws from
+    # rng.spawn(i) in any worker
+    with (_futures.ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        run = pool.map if pool else map
         while frames < max_frames and fe_total < target_frame_errors:
             need = target_frame_errors - fe_total
             # frames that yield `need` errors at the FER seen so far, with
@@ -135,12 +126,8 @@ def fer_ber_sim(
             expected = -(-need * (frames + 1) // (fe_total + 1))
             size = min(expected, lanes * _BATCH, max_frames - frames)
             chunks = np.array_split(np.arange(frames, frames + size), min(lanes, size))
-            args = [(sim, ids, snr_lambda, max_iter, rng.seed, rng.stream)
-                    for ids in chunks]
-            if pool is None:
-                results = [_chunk_worker(a) for a in args]
-            else:
-                results = list(pool.map(_chunk_worker, args))
+            results = list(run(sim.run_frames, chunks, repeat(snr_lambda),
+                               repeat(max_iter), repeat(rng)))
             cum = fe_total + np.cumsum(np.concatenate([fe for fe, _ in results]))
             if cum[-1] >= target_frame_errors:
                 size = int(np.searchsorted(cum, target_frame_errors)) + 1
@@ -148,9 +135,6 @@ def fer_ber_sim(
             frames += size
             fe_total = int(cum[size - 1])
             be_total += int(bit_err[:size].sum())
-    finally:
-        if pool is not None:
-            pool.shutdown()
     k = sim.encoder.k
     return FerBerEstimate(
         fer=fe_total / frames,

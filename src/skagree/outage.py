@@ -124,12 +124,10 @@ def _hypoexponential_cdf_phase_type(theta: np.ndarray, lam: np.ndarray):
     from scipy.linalg import expm  # imported on use: slow to load
 
     rates = 1.0 / lam
-    k = lam.size
     gen = np.diag(-rates)
     gen += np.diag(rates[:-1], k=1)
-    out = np.empty(theta.size)
-    for i, t in enumerate(theta):
-        out[i] = 1.0 - expm(gen * t)[0].sum()
+    # expm takes each matrix of the (theta, k, k) stack on its own
+    out = 1.0 - expm(gen * theta[:, None, None])[:, 0].sum(axis=1)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -148,8 +146,6 @@ def lambda_e_cdf(theta, spec: EigenSpectrum):
     lam = spec.eigenvalues[spec.eigenvalues > 0.0]
     if lam.size == 0:
         out = np.ones_like(arr)  # degenerate point mass at zero
-    elif lam.size == 1:
-        out = 1.0 - np.exp(-arr / lam[0])
     else:
         out = _hypoexponential_cdf_closed_form(arr, lam)
         if out is None:
@@ -204,13 +200,6 @@ class RateCdf:
         if lo < 1 or hi > n:
             raise ValueError("too few samples to bound this quantile")
         return float(samples[lo - 1]), float(samples[hi - 1])
-
-    def cdf_points(self, kind: str = "secret_key"):
-        samples = {
-            "secret_key": self.secret_key_rates,
-            "secrecy": self.secrecy_rates,
-        }[kind]
-        return samples, np.arange(1, samples.size + 1) / samples.size
 
 
 def _legit_peaks(cfg: OfdmConfig, pdp_legit: PdpProfile, samples: int, rng: SeededRng):

@@ -104,6 +104,11 @@ _MALFORMED = [
     ("threshold", {"seed": "1"}, "seed"),
     ("diag-check", {"out": 3}, "out"),
     ("outage-analytic", {"power": 10**400}, "power"),
+    # 10 ** (db / 10) of these overflows a float
+    ("fer-sim", {"snr_db_list": [4000.0]}, "snr_db_list"),
+    ("threshold", {"hi_db": 4000.0}, "hi_db"),
+    ("outage-analytic", {"gamma_e_db": 5000.0}, "gamma_e_db"),
+    ("sk-cdf", {"target_lambda_r_db": 4000.0}, "target_lambda_r_db"),
 ]
 
 

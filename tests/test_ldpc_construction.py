@@ -346,6 +346,12 @@ class TestEncoder:
         word = enc.encode_batch(SeededRng(1).bits((1, enc.k)))[0]
         assert not (redundant @ word % 2).any()
 
+    def test_all_zero_matrix_encodes_messages_to_themselves(self):
+        enc = derive_encoder(ParityCheckMatrix(np.zeros((3, 8), dtype=np.uint8)))
+        assert (enc.rank, enc.k) == (0, 8)
+        msgs = SeededRng(2).bits((5, 8))
+        assert np.array_equal(enc.encode_batch(msgs), msgs)
+
 
 class TestAlist:
     def test_round_trip(self, tmp_path):
@@ -363,6 +369,44 @@ class TestAlist:
         path = tmp_path / "irr.alist"
         write_alist(h, path)
         assert np.array_equal(read_alist(path).to_dense(), dense)
+
+    # an irregular matrix whose second check has no variable
+    EMPTY_ROW = np.array(
+        [[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 1, 1, 1], [0, 1, 1, 0, 0]],
+        dtype=np.uint8,
+    )
+
+    def test_golden_text_with_an_empty_row(self, tmp_path):
+        path = tmp_path / "empty-row.alist"
+        write_alist(ParityCheckMatrix(self.EMPTY_ROW), path)
+        assert path.read_text() == (
+            "5 4\n2 4\n2 2 2 2 1\n3 0 4 2\n"
+            "1 3\n1 4\n3 4\n1 3\n3 0\n"
+            "1 2 4 0\n0 0 0 0\n1 3 4 5\n2 3 0 0\n"
+        )
+        assert np.array_equal(read_alist(path).to_dense(), self.EMPTY_ROW)
+
+    def test_matrix_without_edges_round_trips(self, tmp_path):
+        # every list is one 0 of padding
+        path = tmp_path / "empty.alist"
+        write_alist(ParityCheckMatrix(np.zeros((3, 8), dtype=np.uint8)), path)
+        assert path.read_text() == "8 3\n1 1\n" + "0 " * 7 + "0\n0 0 0\n" + "0\n" * 11
+        assert read_alist(path).shape == (3, 8)
+
+    @pytest.mark.parametrize("old, new", [
+        ("1 3\n1 4", "1 -2\n1 4"),  # an entry outside 1..m
+        ("1 3\n1 4", "0 3\n1 4"),  # a zero that is not padding
+        ("2 2 2 2 1", "2 2 2 2 2"),  # a weight the lists do not give
+        ("1 2 4 0", "1 2 5 0"),  # row lists that disagree with the columns
+    ], ids=["negative-entry", "inner-zero", "weights", "row-lists"])
+    def test_malformed_file_rejected(self, tmp_path, old, new):
+        path = tmp_path / "bad.alist"
+        write_alist(ParityCheckMatrix(self.EMPTY_ROW), path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match="malformed alist file"):
+            read_alist(path)
 
     def test_header_contents(self, tmp_path):
         h = peg_construct(12, 0.25, 3, SeededRng(1))

@@ -138,7 +138,8 @@ class TestLambdaECdf:
         lam = 0.7
         spec = EigenSpectrum(np.array([lam]))
         for theta in (0.1, 0.5, 2.0):
-            assert lambda_e_cdf(theta, spec) == pytest.approx(1 - np.exp(-theta / lam))
+            # the closed form with its one coefficient, 1.0, gives these bits
+            assert lambda_e_cdf(theta, spec) == 1 - np.exp(-theta / lam)
 
     def test_matches_monte_carlo_hypoexponential(self):
         rng = SeededRng(4)
@@ -158,6 +159,18 @@ class TestLambdaECdf:
         cdf = lambda_e_cdf(grid, EigenSpectrum(lam))
         expected = stats.gamma.cdf(grid, a=3, scale=0.5)
         assert np.max(np.abs(cdf - expected)) < 1e-9
+
+    @pytest.mark.parametrize("lam", [[0.5, 0.5, 0.5], [1.0, 1.0 + 1e-9, 0.25]])
+    def test_phase_type_matches_one_expm_per_theta(self, lam):
+        from scipy.linalg import expm
+
+        lam = np.array(lam)
+        grid = np.linspace(0.0, 12.0, 201)
+        gen = np.diag(-1.0 / lam) + np.diag(1.0 / lam[:-1], k=1)
+        looped = np.array([1.0 - expm(gen * t)[0].sum() for t in grid])
+        np.testing.assert_array_equal(
+            _hypoexponential_cdf_phase_type(grid, lam), np.clip(looped, 0.0, 1.0)
+        )
 
     def test_near_degenerate_matches_monte_carlo(self):
         lam = np.array([1.0, 1.0 + 1e-9, 0.25])

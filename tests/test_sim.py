@@ -104,13 +104,15 @@ class _InlineExecutor:
     def __init__(self, max_workers):
         self.max_workers = max_workers
 
-    def map(self, fn, args):
-        args = list(args)
-        self.rounds.append([len(a[1]) for a in args])
-        return map(fn, args)
+    def __enter__(self):
+        return self
 
-    def shutdown(self):
-        pass
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks, *rest):
+        self.rounds.append([len(ids) for ids in chunks])
+        return map(fn, chunks, *rest)
 
 
 @pytest.mark.parametrize("target", [40, 1000])
