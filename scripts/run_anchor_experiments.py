@@ -18,6 +18,7 @@ DESK = [
     ("threshold", "threshold_wc4_rate015.json"),
     ("threshold", "threshold_wc5_rate003.json"),
     ("fer-sim", "fer_n5000_desk.json"),
+    ("security-gap", "security_gap_n2000_desk.json"),
     ("sk-cdf", "sk_cdf_m256.json"),
     ("sk-cdf", "sk_cdf_m256_decay025.json"),
     ("outage-analytic", "outage_analytic_m256.json"),

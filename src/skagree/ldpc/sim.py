@@ -11,6 +11,7 @@ experiment, as a deployment holds one.
 from __future__ import annotations
 
 import concurrent.futures as _futures
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -91,6 +92,21 @@ class FrameSimulator:
         return bit_errors > 0, bit_errors
 
 
+# The simulator of a pooled fer_ber_sim call, set once per worker process by
+# the pool's initializer, so a task carries only its frames, SNR, max_iter
+# and rng.
+_worker_sim: FrameSimulator | None = None
+
+
+def _install_simulator(sim: FrameSimulator) -> None:
+    global _worker_sim
+    _worker_sim = sim
+
+
+def _run_installed(frame_ids, snr_lambda: float, max_iter: int, rng: SeededRng):
+    return _worker_sim.run_frames(frame_ids, snr_lambda, max_iter, rng)
+
+
 def fer_ber_sim(
     h: ParityCheckMatrix,
     snr_lambda: float,
@@ -115,10 +131,13 @@ def fer_ber_sim(
     sim = h.simulator(rng.seed)
     lanes = max(1, workers)
     frames = fe_total = be_total = 0
-    # the rng pickles with its seed and stream, so frame i draws from
+    # each worker receives the simulator once, through the initializer; the
+    # rng pickles with its seed and stream, so frame i draws from
     # rng.spawn(i) in any worker
-    with (_futures.ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        run = pool.map if pool else map
+    with (_futures.ProcessPoolExecutor(workers, initializer=_install_simulator,
+                                       initargs=(sim,))
+          if workers > 1 else nullcontext()) as pool:
+        run, task = (pool.map, _run_installed) if pool else (map, sim.run_frames)
         while frames < max_frames and fe_total < target_frame_errors:
             need = target_frame_errors - fe_total
             # frames that yield `need` errors at the FER seen so far, with
@@ -126,8 +145,8 @@ def fer_ber_sim(
             expected = -(-need * (frames + 1) // (fe_total + 1))
             size = min(expected, lanes * _BATCH, max_frames - frames)
             chunks = np.array_split(np.arange(frames, frames + size), min(lanes, size))
-            results = list(run(sim.run_frames, chunks, repeat(snr_lambda),
-                               repeat(max_iter), repeat(rng)))
+            results = list(run(task, chunks, repeat(snr_lambda), repeat(max_iter),
+                               repeat(rng)))
             cum = fe_total + np.cumsum(np.concatenate([fe for fe, _ in results]))
             if cum[-1] >= target_frame_errors:
                 size = int(np.searchsorted(cum, target_frame_errors)) + 1
@@ -144,6 +163,17 @@ def fer_ber_sim(
         bit_errors=be_total,
         confidence_halfwidth=wilson_halfwidth(fe_total, frames),
     )
+
+
+@functools.cache
+def _de_center_db(w_c: int, w_r: float) -> float:
+    """DE threshold (dB) of a degree profile, computed once per process.
+
+    Only a process that runs several walks on one profile saves anything:
+    ``run_anchor_experiments.py --full`` runs three on (3, 4.0), while one
+    ``skagree security-gap`` run computes it once.
+    """
+    return 10.0 * np.log10(decoding_threshold(w_c, w_r))
 
 
 @dataclass
@@ -168,7 +198,8 @@ def security_gap(
     """SNR ratio (dB) between reliable decoding and near-certain failure.
 
     Walks a dB grid centered on the density-evolution threshold of the
-    code's degree profile, simulating FER at each point, then interpolates
+    code's degree profile (computed once per process for each profile),
+    simulating FER at each point, then interpolates
     the two crossings: FER <= fer_reliable (log-FER interpolation) and
     FER >= fer_secure (linear interpolation near saturation).
     """
@@ -176,7 +207,7 @@ def security_gap(
         raise ValueError("fer_secure must exceed fer_reliable")
     w_c = int(np.bincount(h.col_weights()).argmax())
     w_r = h.n * w_c / h.num_checks
-    center = 10.0 * np.log10(decoding_threshold(w_c, w_r))
+    center = _de_center_db(w_c, w_r)
     floor = 0.5 / max_frames
     cache: dict[int, FerBerEstimate] = {}
 

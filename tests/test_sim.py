@@ -1,9 +1,17 @@
 import gc
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 import weakref
+from itertools import starmap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skagree
 from skagree.channels import SeededRng
 from skagree.ldpc import fer_ber_sim, peg_construct, security_gap
 from skagree.ldpc.scramble import FrameScrambler
@@ -97,12 +105,17 @@ def test_early_stop_result_is_the_stopping_prefix(small_code, monkeypatch):
 
 
 class _InlineExecutor:
-    """Stands in for the process pool, recording each round's chunk sizes."""
+    """Stands in for the process pool: runs the initializer and the tasks
+    inline, recording each round's chunk sizes and each task's pickled
+    bytes."""
 
     rounds: list = []
+    task_bytes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -112,13 +125,22 @@ class _InlineExecutor:
 
     def map(self, fn, chunks, *rest):
         self.rounds.append([len(ids) for ids in chunks])
-        return map(fn, chunks, *rest)
+        tasks = list(zip(chunks, *rest))
+        self.task_bytes.extend(len(pickle.dumps((fn, *task))) for task in tasks)
+        return starmap(fn, tasks)
+
+
+def _inline_pool(monkeypatch):
+    monkeypatch.setattr(_InlineExecutor, "rounds", [])
+    monkeypatch.setattr(_InlineExecutor, "task_bytes", [])
+    monkeypatch.setattr(sim_module._futures, "ProcessPoolExecutor", _InlineExecutor)
+    # the inline initializer installs the simulator in this process
+    monkeypatch.setattr(sim_module, "_worker_sim", None)
 
 
 @pytest.mark.parametrize("target", [40, 1000])
 def test_rounds_split_evenly_over_workers(small_code, monkeypatch, target):
-    monkeypatch.setattr(_InlineExecutor, "rounds", [])
-    monkeypatch.setattr(sim_module._futures, "ProcessPoolExecutor", _InlineExecutor)
+    _inline_pool(monkeypatch)
     monkeypatch.setattr(sim_module, "_BATCH", 16)
     kwargs = dict(max_frames=300, target_frame_errors=target, max_iter=30)
     est = fer_ber_sim(
@@ -132,6 +154,40 @@ def test_rounds_split_evenly_over_workers(small_code, monkeypatch, target):
     monkeypatch.undo()
     monkeypatch.setattr(sim_module, "_BATCH", 16)
     assert est == fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(13), **kwargs)
+
+
+def test_pooled_task_carries_no_simulator(small_code, monkeypatch):
+    """A pooled task pickles its frame indices, SNR, max_iter and rng only;
+    the simulator reaches each worker once, through the initializer."""
+    _inline_pool(monkeypatch)
+    kwargs = dict(max_frames=64, target_frame_errors=64, max_iter=25)
+    est = fer_ber_sim(small_code, 10 ** (-0.2), rng=SeededRng(7), workers=2, **kwargs)
+    assert len(_InlineExecutor.task_bytes) == 2
+    assert max(_InlineExecutor.task_bytes) < 4096
+    assert sim_module._worker_sim is small_code.simulator(7)
+    monkeypatch.undo()
+    assert est == fer_ber_sim(small_code, 10 ** (-0.2), rng=SeededRng(7), **kwargs)
+
+
+def test_pooled_path_under_spawn_matches_serial(small_code):
+    """Under ``spawn`` (the default on macOS and Windows) the initializer's
+    simulator is pickled to each worker; the estimate is the serial one."""
+    src = str(Path(skagree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import multiprocessing\n"
+        "from skagree.channels import SeededRng\n"
+        "from skagree.ldpc import fer_ber_sim, peg_construct\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    h = peg_construct(1024, 0.25, 3, SeededRng(77))\n"
+        "    print(repr(fer_ber_sim(h, 10 ** (-0.2), 64, 64, 25, SeededRng(7), workers=2)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    serial = fer_ber_sim(small_code, 10 ** (-0.2), 64, 64, 25, SeededRng(7))
+    assert out.stdout.strip() == repr(serial)
 
 
 def test_simulator_cached_per_scramble_seed(small_code, monkeypatch):
@@ -188,6 +244,8 @@ def test_worker_count_does_not_change_result(small_code):
     a = fer_ber_sim(small_code, 10 ** (-0.2), 64, 64, 25, SeededRng(7), workers=1)
     b = fer_ber_sim(small_code, 10 ** (-0.2), 64, 64, 25, SeededRng(7), workers=2)
     assert a == b
+    # the call's pool and its workers end with it
+    assert multiprocessing.active_children() == []
 
 
 def test_streams_of_one_seed_draw_different_frames(small_code, monkeypatch):
@@ -238,6 +296,28 @@ def test_security_gap_relaxed_targets(small_code):
     assert result.reliable_snr_db > result.secure_snr_db
     assert result.gap_db < 3.0
     assert len(result.points) >= 2
+
+
+def test_security_gap_computes_de_centre_once_per_profile(small_code, monkeypatch):
+    calls = []
+    inner = sim_module.decoding_threshold
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sim_module, "decoding_threshold", counting)
+    sim_module._de_center_db.cache_clear()
+    kwargs = dict(fer_reliable=0.1, fer_secure=0.9, step_db=1.0, max_frames=64,
+                  target_frame_errors=32, max_iter=30)
+    try:
+        cold = security_gap(small_code, rng=SeededRng(8), **kwargs)
+        warm = security_gap(small_code, rng=SeededRng(8), **kwargs)
+    finally:
+        sim_module._de_center_db.cache_clear()
+    assert len(calls) == 1
+    # the same points, gap and crossings
+    assert cold == warm
 
 
 def test_security_gap_rejects_degenerate_targets(small_code):
