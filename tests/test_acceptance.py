@@ -18,6 +18,7 @@ from skagree.ldpc import (
 from skagree.ldpc.decoder import SumProductDecoder
 from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 from skagree.ldpc.scramble import FrameScrambler
+from skagree.ldpc.sim import _Z95, wilson_halfwidth
 from skagree.ofdm import (
     OfdmConfig,
     demodulator_matrix,
@@ -47,6 +48,14 @@ from skagree.rates import (
 def verdict(tag: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def wilson_interval(est, fmt: str) -> str:
+    """The 95% Wilson score interval of an estimate's FER, as 'lo-hi'."""
+    z2, n = _Z95 * _Z95, est.frames
+    centre = (est.fer + z2 / (2 * n)) / (1 + z2 / n)
+    half = wilson_halfwidth(est.frame_errors, n)
+    return f"{centre - half:{fmt}}-{centre + half:{fmt}}"
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +142,11 @@ def test_criterion_4_fer_anchors_desk_scale(paper_code):
     ok = secure.fer >= 0.85 and reliable.fer <= 1e-2
     assert verdict(
         "4", ok,
-        f"n=5000 code: FER({-2.2} dB) = {secure.fer:.3f} (need >= 0.85, "
-        f"300 frames), FER({-1.2} dB) = {reliable.fer:.1e} (need <= 1e-2, "
-        f"1000 frames); girth {paper_code.girth()}",
+        f"n=5000 code: FER({-2.2} dB) = {secure.fer:.3f} (95% Wilson "
+        f"{wilson_interval(secure, '.3f')}; need >= 0.85, 300 frames), "
+        f"FER({-1.2} dB) = {reliable.fer:.1e} (95% Wilson "
+        f"{wilson_interval(reliable, '.1e')}; need <= 1e-2, 1000 frames); "
+        f"girth {paper_code.girth()}",
     )
 
 

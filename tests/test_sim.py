@@ -17,12 +17,106 @@ from skagree.ldpc import fer_ber_sim, peg_construct, security_gap
 from skagree.ldpc.scramble import FrameScrambler
 import skagree.ldpc.sim as sim_module
 from skagree.ldpc.decoder import SumProductDecoder
+from skagree.ldpc.modem import llrs_from_rx, qpsk_symbols
 from skagree.ldpc.sim import FrameSimulator, wilson_halfwidth
 
 
 @pytest.fixture(scope="module")
 def small_code():
     return peg_construct(1024, 0.25, 3, SeededRng(77))
+
+
+# three points across the small code's waterfall
+_WATERFALL_DB = (-2.4, -1.9, -1.4)
+
+
+def _frame_noise(rng: SeededRng, frames: int, n_symbols: int) -> np.ndarray:
+    """Frame i's noise, drawn from ``rng.spawn(i)`` as the simulator draws it."""
+    return np.array([rng.spawn(i).complex_normals(n_symbols) for i in range(frames)])
+
+
+@pytest.mark.parametrize("snr_db", _WATERFALL_DB)
+def test_all_zero_frames_match_the_codeword_pipeline(small_code, monkeypatch, snr_db):
+    """``run_frames`` sends the all-zero word; the reference sends codewords.
+
+    The reference is the pipeline the all-zero word replaces: messages are
+    scrambled and encoded into codewords c, sent over the same per-frame
+    noise (flipped with the signs s = 1 - 2c, so that their LLRs are
+    s * y0 with y0 the all-zero block), decoded, read at the message
+    positions, descrambled and compared with the messages.
+    """
+    snr, frames, max_iter, rng = 10 ** (snr_db / 10), 64, 100, SeededRng(21)
+    sim = FrameSimulator(small_code, 5)
+    decoded = []
+    inner = sim.decoder.decode_batch
+
+    def spy(llrs, *args):
+        decoded.append(np.array(llrs))
+        return inner(llrs, *args)
+
+    monkeypatch.setattr(sim.decoder, "decode_batch", spy)
+    frame_errors, bit_errors = sim.run_frames(np.arange(frames), snr, max_iter, rng)
+    monkeypatch.undo()
+    (y0,) = decoded
+    assert 0 < frame_errors.sum() < frames
+
+    messages = SeededRng(31).bits((frames, sim.encoder.k))
+    words = sim.encoder.encode_batch(sim.scrambler.apply(messages))
+    signs = 1.0 - 2.0 * words
+    noise = _frame_noise(rng, frames, sim.n_symbols)
+    noise = signs[:, 0::2] * noise.real + 1j * signs[:, 1::2] * noise.imag
+    y_c = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, small_code.n)
+    assert np.array_equal(y_c, signs * y0)
+    bits, _, _ = sim.decoder.decode_batch(y_c, max_iter)
+    recovered = sim.scrambler.invert_bits(bits[:, sim.encoder.info_cols])
+    ref_bit_errors = np.sum(recovered != messages, axis=1)
+    assert np.array_equal(frame_errors, ref_bit_errors > 0)
+    assert np.array_equal(bit_errors, ref_bit_errors)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("snr_db", _WATERFALL_DB)
+def test_decoder_is_sign_symmetric(small_code, dtype, snr_db):
+    """decode(y) XOR c == decode(y * (1 - 2c)) on bits, flags and iterations:
+    the symmetry that lets the simulator send only the all-zero word."""
+    snr, frames, max_iter, rng = 10 ** (snr_db / 10), 64, 100, SeededRng(22)
+    encoder = small_code.encoder()
+    words = encoder.encode_batch(SeededRng(32).bits((frames, encoder.k)))
+    noise = _frame_noise(rng, frames, (small_code.n + 1) // 2)
+    y = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, small_code.n)
+    decoder = SumProductDecoder(small_code, dtype=dtype)
+    bits, converged, iterations = decoder.decode_batch(y, max_iter)
+    zero_bits, zero_converged, zero_iterations = decoder.decode_batch(
+        y * (1.0 - 2.0 * words), max_iter)
+    assert 0 < zero_converged.sum() < frames
+    assert np.array_equal(bits ^ words, zero_bits)
+    assert np.array_equal(converged, zero_converged)
+    assert np.array_equal(iterations, zero_iterations)
+
+
+def test_run_frames_counts_errors_behind_the_descrambler(small_code, monkeypatch):
+    """Decoded bits are the error pattern: parity errors are no frame error,
+    and one wrong message bit j costs the weight of column j of S^-1."""
+    sim = FrameSimulator(small_code, 5)
+    info, parity = sim.encoder.info_cols, sim.encoder.pivot_cols
+    flipped = [0, 7, sim.encoder.k - 1]
+    patterns = np.zeros((2 + len(flipped), small_code.n), dtype=np.uint8)
+    patterns[1, parity[::3]] = 1
+    for row, j in enumerate(flipped, start=2):
+        patterns[row, info[j]] = 1
+
+    def stub(llrs, max_iter):
+        assert llrs.shape == patterns.shape
+        count = len(patterns)
+        return patterns, np.zeros(count, dtype=bool), np.full(count, max_iter)
+
+    monkeypatch.setattr(sim.decoder, "decode_batch", stub)
+    frame_errors, bit_errors = sim.run_frames(
+        np.arange(len(patterns)), 1.0, 10, SeededRng(23))
+    weights = sim.scrambler.inverse[:, flipped].sum(axis=0)
+    assert frame_errors.tolist() == [False, False] + [True] * len(flipped)
+    assert bit_errors.tolist() == [0, 0] + weights.tolist()
+    assert np.all(weights > 0)
 
 
 def test_far_above_threshold_fer_is_small(small_code):
