@@ -19,7 +19,6 @@ class ParityCheckMatrix:
         self._csr = csr
         self._girth: int | None | str = "unset"
         self._encoder = None
-        self._simulator = None
 
     @property
     def shape(self):
@@ -66,19 +65,6 @@ class ParityCheckMatrix:
 
             self._encoder = derive_encoder(self)
         return self._encoder
-
-    def simulator(self, scramble_seed: int):
-        """Cached ``FrameSimulator`` for one scrambler seed.
-
-        The cache holds one simulator; a new seed releases the old one
-        before its own is built, so two never coexist.
-        """
-        if self._simulator is None or self._simulator.scrambler.seed != scramble_seed:
-            from .sim import FrameSimulator
-
-            self._simulator = None
-            self._simulator = FrameSimulator(self, scramble_seed)
-        return self._simulator
 
     def girth(self) -> int | None:
         """Exact length of the shortest Tanner-graph cycle (None if acyclic)."""

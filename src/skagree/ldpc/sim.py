@@ -14,6 +14,12 @@ early stopping depends only on the per-frame outcome sequence, and two
 streams of one seed (the points of one experiment) decode independent
 frames. The scrambler is keyed by the seed alone: one key per experiment,
 as a deployment holds one.
+
+The key is invertible, so a frame errs exactly when its decoded message
+bits are nonzero, and only its bit errors need the key. ``fer_ber_sim``
+descrambles the erroneous frames of the stopping prefix once per round,
+in the calling process, and draws the key only when there is one to
+descramble; a point whose frames all decode draws none.
 """
 
 from __future__ import annotations
@@ -69,23 +75,24 @@ class FrameSimulator:
     """Coded QPSK/AWGN pipeline bound to one parity-check matrix.
 
     Per frame: all-zero word -> QPSK -> AWGN -> sum-product decode ->
-    extract message positions -> descramble. The decoded bits are the error
-    pattern (see the module docstring), so a frame error is any decoded bit
-    set at a message position, and its bit errors are counted after the
-    descrambler, which is where an eavesdropper would read the key
-    material: one residual error spreads over about half of the key.
+    extract message positions. The decoded bits are the error pattern (see
+    the module docstring), so a frame error is any decoded bit set at a
+    message position. The simulator holds no scrambler key: the caller
+    descrambles the erroneous frames' message bits, which is where an
+    eavesdropper would read the key material, and one residual error
+    spreads over about half of the key.
     """
 
-    def __init__(self, h: ParityCheckMatrix, scramble_seed: int):
+    def __init__(self, h: ParityCheckMatrix):
         self.h = h
         self.encoder = h.encoder()
         self.decoder = SumProductDecoder(h, dtype=MESSAGE_DTYPE)
-        self.scrambler = FrameScrambler(self.encoder.k, scramble_seed)
         self.n_symbols = (h.n + 1) // 2
 
     def run_frames(self, frame_ids, snr_lambda: float, max_iter: int,
                    rng: SeededRng):
-        """Per-frame (frame_error, bit_errors) for the given frame indices."""
+        """Per-frame error flags for the given frame indices, and the decoded
+        message bits of the erroneous frames, in frame order."""
         noise = np.empty((len(frame_ids), self.n_symbols), dtype=complex)
         for row, frame in enumerate(frame_ids):
             noise[row] = rng.spawn(int(frame)).complex_normals(self.n_symbols)
@@ -94,9 +101,23 @@ class FrameSimulator:
         rx = qpsk_symbols(zero, snr_lambda) + noise
         llrs = llrs_from_rx(rx, snr_lambda, self.h.n)
         bits, _, _ = self.decoder.decode_batch(llrs, max_iter)
-        errors = self.scrambler.invert_bits(bits[:, self.encoder.info_cols])
-        bit_errors = np.count_nonzero(errors, axis=1)
-        return bit_errors > 0, bit_errors
+        info = bits[:, self.encoder.info_cols]
+        wrong = info.any(axis=1)
+        return wrong, info[wrong]
+
+
+# The last key drawn. A new (k, seed) releases it before its own is drawn,
+# so two keys never coexist.
+_key: FrameScrambler | None = None
+
+
+def _scrambler(k: int, seed: int) -> FrameScrambler:
+    """The experiment's scrambler key, drawn once per (k, seed)."""
+    global _key
+    if _key is None or (_key.length, _key.seed) != (k, seed):
+        _key = None
+        _key = FrameScrambler(k, seed)
+    return _key
 
 
 # The simulator of a pooled fer_ber_sim call, set once per worker process by
@@ -131,11 +152,14 @@ def fer_ber_sim(
     errors still needed, split evenly over the workers; frames past the
     stopping frame are dropped. A round after only failed frames (the first
     one, too) takes exactly the errors still needed, so while every frame
-    fails no frame past the stopping frame is decoded.
+    fails no frame past the stopping frame is decoded. Bit errors are
+    counted behind the seed's scrambler key on the prefix's frame errors
+    alone, here and not in the workers.
     """
     if max_frames < 1 or target_frame_errors < 1:
         raise ValueError("frame counts must be positive")
-    sim = h.simulator(rng.seed)
+    sim = FrameSimulator(h)
+    k = sim.encoder.k
     lanes = max(1, workers)
     frames = fe_total = be_total = 0
     # each worker receives the simulator once, through the initializer; the
@@ -154,14 +178,17 @@ def fer_ber_sim(
             chunks = np.array_split(np.arange(frames, frames + size), min(lanes, size))
             results = list(run(task, chunks, repeat(snr_lambda), repeat(max_iter),
                                repeat(rng)))
-            cum = fe_total + np.cumsum(np.concatenate([fe for fe, _ in results]))
+            cum = fe_total + np.cumsum(np.concatenate([wrong for wrong, _ in results]))
             if cum[-1] >= target_frame_errors:
                 size = int(np.searchsorted(cum, target_frame_errors)) + 1
-            bit_err = np.concatenate([be for _, be in results])
+            # the frame errors of the stopping prefix are its first `new` rows
+            new = int(cum[size - 1]) - fe_total
+            if new:
+                rows = np.concatenate([info for _, info in results])[:new]
+                key = _scrambler(k, rng.seed)
+                be_total += int(np.count_nonzero(key.invert_bits(rows)))
             frames += size
-            fe_total = int(cum[size - 1])
-            be_total += int(bit_err[:size].sum())
-    k = sim.encoder.k
+            fe_total += new
     return FerBerEstimate(
         fer=fe_total / frames,
         ber=be_total / (frames * k),

@@ -584,7 +584,7 @@ def test_simulator_decoder_never_converges_to_noncodeword():
     """Criterion 7b for the decoder the frame simulator runs: 10 000 noisy
     frames at three SNRs, and no converged frame violates the dense H."""
     code = peg_construct(512, 0.25, 3, SeededRng(7))
-    decoder = FrameSimulator(code, scramble_seed=7).decoder
+    decoder = FrameSimulator(code).decoder
     assert decoder.dtype == MESSAGE_DTYPE == np.float32
     dense = code.to_dense().astype(np.int64)
     rng = SeededRng(778)

@@ -43,10 +43,12 @@ def test_all_zero_frames_match_the_codeword_pipeline(small_code, monkeypatch, sn
     scrambled and encoded into codewords c, sent over the same per-frame
     noise (flipped with the signs s = 1 - 2c, so that their LLRs are
     s * y0 with y0 the all-zero block), decoded, read at the message
-    positions, descrambled and compared with the messages.
+    positions, descrambled and compared with the messages. The erroneous
+    frames' decisions, descrambled, cost the same bit errors.
     """
     snr, frames, max_iter, rng = 10 ** (snr_db / 10), 64, 100, SeededRng(21)
-    sim = FrameSimulator(small_code, 5)
+    sim = FrameSimulator(small_code)
+    scrambler = FrameScrambler(sim.encoder.k, 5)
     decoded = []
     inner = sim.decoder.decode_batch
 
@@ -55,23 +57,24 @@ def test_all_zero_frames_match_the_codeword_pipeline(small_code, monkeypatch, sn
         return inner(llrs, *args)
 
     monkeypatch.setattr(sim.decoder, "decode_batch", spy)
-    frame_errors, bit_errors = sim.run_frames(np.arange(frames), snr, max_iter, rng)
+    frame_errors, wrong_info = sim.run_frames(np.arange(frames), snr, max_iter, rng)
     monkeypatch.undo()
     (y0,) = decoded
     assert 0 < frame_errors.sum() < frames
 
     messages = SeededRng(31).bits((frames, sim.encoder.k))
-    words = sim.encoder.encode_batch(sim.scrambler.apply(messages))
+    words = sim.encoder.encode_batch(scrambler.apply(messages))
     signs = 1.0 - 2.0 * words
     noise = _frame_noise(rng, frames, sim.n_symbols)
     noise = signs[:, 0::2] * noise.real + 1j * signs[:, 1::2] * noise.imag
     y_c = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, small_code.n)
     assert np.array_equal(y_c, signs * y0)
     bits, _, _ = sim.decoder.decode_batch(y_c, max_iter)
-    recovered = sim.scrambler.invert_bits(bits[:, sim.encoder.info_cols])
+    recovered = scrambler.invert_bits(bits[:, sim.encoder.info_cols])
     ref_bit_errors = np.sum(recovered != messages, axis=1)
     assert np.array_equal(frame_errors, ref_bit_errors > 0)
-    assert np.array_equal(bit_errors, ref_bit_errors)
+    bit_errors = np.count_nonzero(scrambler.invert_bits(wrong_info), axis=1)
+    assert np.array_equal(bit_errors, ref_bit_errors[frame_errors])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -94,10 +97,37 @@ def test_decoder_is_sign_symmetric(small_code, dtype, snr_db):
     assert np.array_equal(iterations, zero_iterations)
 
 
+def _spy_invert_bits(monkeypatch):
+    """Every block ``FrameScrambler.invert_bits`` returns, in call order."""
+    descrambled = []
+    inner = FrameScrambler.invert_bits
+
+    def spy(self, bits):
+        descrambled.append(inner(self, bits))
+        return descrambled[-1]
+
+    monkeypatch.setattr(FrameScrambler, "invert_bits", spy)
+    return descrambled
+
+
+def _spy_key_draws(monkeypatch):
+    """The args of every key drawn, starting from an empty key cache."""
+    monkeypatch.setattr(sim_module, "_key", None)
+    draws = []
+    inner = FrameScrambler.__init__
+
+    def spy(self, *args):
+        draws.append(args)
+        inner(self, *args)
+
+    monkeypatch.setattr(FrameScrambler, "__init__", spy)
+    return draws
+
+
 def test_run_frames_counts_errors_behind_the_descrambler(small_code, monkeypatch):
     """Decoded bits are the error pattern: parity errors are no frame error,
     and one wrong message bit j costs the weight of column j of S^-1."""
-    sim = FrameSimulator(small_code, 5)
+    sim = FrameSimulator(small_code)
     info, parity = sim.encoder.info_cols, sim.encoder.pivot_cols
     flipped = [0, 7, sim.encoder.k - 1]
     patterns = np.zeros((2 + len(flipped), small_code.n), dtype=np.uint8)
@@ -105,18 +135,24 @@ def test_run_frames_counts_errors_behind_the_descrambler(small_code, monkeypatch
     for row, j in enumerate(flipped, start=2):
         patterns[row, info[j]] = 1
 
-    def stub(llrs, max_iter):
+    def stub(self, llrs, max_iter):
         assert llrs.shape == patterns.shape
         count = len(patterns)
         return patterns, np.zeros(count, dtype=bool), np.full(count, max_iter)
 
-    monkeypatch.setattr(sim.decoder, "decode_batch", stub)
-    frame_errors, bit_errors = sim.run_frames(
+    monkeypatch.setattr(SumProductDecoder, "decode_batch", stub)
+    frame_errors, wrong_info = sim.run_frames(
         np.arange(len(patterns)), 1.0, 10, SeededRng(23))
-    weights = sim.scrambler.inverse[:, flipped].sum(axis=0)
     assert frame_errors.tolist() == [False, False] + [True] * len(flipped)
-    assert bit_errors.tolist() == [0, 0] + weights.tolist()
+    assert np.array_equal(wrong_info, np.eye(sim.encoder.k, dtype=np.uint8)[flipped])
+
+    descrambled = _spy_invert_bits(monkeypatch)
+    est = fer_ber_sim(small_code, 1.0, len(patterns), len(patterns), 10, SeededRng(23))
+    weights = FrameScrambler(sim.encoder.k, 23).inverse[:, flipped].sum(axis=0)
     assert np.all(weights > 0)
+    assert np.count_nonzero(np.concatenate(descrambled), axis=1).tolist() == weights.tolist()
+    assert (est.frames, est.frame_errors) == (len(patterns), len(flipped))
+    assert est.bit_errors == weights.sum()
 
 
 def test_far_above_threshold_fer_is_small(small_code):
@@ -258,9 +294,30 @@ def test_pooled_task_carries_no_simulator(small_code, monkeypatch):
     est = fer_ber_sim(small_code, 10 ** (-0.2), rng=SeededRng(7), workers=2, **kwargs)
     assert len(_InlineExecutor.task_bytes) == 2
     assert max(_InlineExecutor.task_bytes) < 4096
-    assert sim_module._worker_sim is small_code.simulator(7)
+    assert isinstance(sim_module._worker_sim, FrameSimulator)
     monkeypatch.undo()
     assert est == fer_ber_sim(small_code, 10 ** (-0.2), rng=SeededRng(7), **kwargs)
+
+
+def test_pool_workers_draw_no_key(small_code, monkeypatch):
+    """The key is drawn in the calling process, outside every task, and the
+    simulator the initializer installs holds none."""
+    _inline_pool(monkeypatch)
+    draws = _spy_key_draws(monkeypatch)
+    inner = FrameSimulator.run_frames
+
+    def task(self, *args):
+        before = len(draws)
+        result = inner(self, *args)
+        assert len(draws) == before
+        return result
+
+    monkeypatch.setattr(FrameSimulator, "run_frames", task)
+    est = fer_ber_sim(small_code, 10 ** (-0.2), 64, 64, 25, SeededRng(7), workers=2)
+    assert est.frame_errors > 0
+    assert draws == [(small_code.encoder().k, 7)]
+    installed = vars(sim_module._worker_sim).values()
+    assert not any(isinstance(value, FrameScrambler) for value in installed)
 
 
 def test_pooled_path_under_spawn_matches_serial(small_code):
@@ -284,37 +341,57 @@ def test_pooled_path_under_spawn_matches_serial(small_code):
     assert out.stdout.strip() == repr(serial)
 
 
-def test_simulator_cached_per_scramble_seed(small_code, monkeypatch):
-    inits = []
+def test_point_without_frame_errors_draws_no_key(small_code, monkeypatch):
+    draws = _spy_key_draws(monkeypatch)
+    est = fer_ber_sim(small_code, 10 ** 0.1, 64, 64, 60, SeededRng(33))
+    assert est.frames == 64
+    assert est.frame_errors == est.bit_errors == 0
+    assert draws == []
+
+
+def test_descrambles_only_the_stopping_prefix_errors(small_code, monkeypatch):
+    """Frames decoded past the stop are not descrambled."""
+    flags = []
+    inner = FrameSimulator.run_frames
+
+    def spy(self, *args):
+        wrong, info = inner(self, *args)
+        flags.extend(wrong)
+        return wrong, info
+
+    monkeypatch.setattr(FrameSimulator, "run_frames", spy)
+    descrambled = _spy_invert_bits(monkeypatch)
+    kwargs = dict(max_frames=300, target_frame_errors=40, max_iter=30)
+    est = fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(12), **kwargs)
+    assert est.frame_errors == 40 and sum(flags) > est.frame_errors
+    assert sum(len(rows) for rows in descrambled) == est.frame_errors
+
+
+def test_points_of_one_seed_share_one_key(small_code, monkeypatch):
+    draws = _spy_key_draws(monkeypatch)
+    for snr_db in (-1.0, -0.5):
+        est = fer_ber_sim(small_code, 10 ** (snr_db / 10), 16, 16, 10, SeededRng(31))
+        assert est.frame_errors > 0
+    assert draws == [(small_code.encoder().k, 31)]
+    assert sim_module._key.seed == 31
+
+
+def test_new_seed_releases_the_old_key_before_drawing(small_code, monkeypatch):
+    draws = _spy_key_draws(monkeypatch)
+    fer_ber_sim(small_code, 10 ** (-1.0), 4, 4, 5, SeededRng(41))
+    old = weakref.ref(sim_module._key)
+    alive_at_draw = []
     inner = FrameScrambler.__init__
-
-    def counting(self, *args):
-        inits.append(args)
-        inner(self, *args)
-
-    monkeypatch.setattr(FrameScrambler, "__init__", counting)
-    sim = small_code.simulator(31)
-    assert small_code.simulator(31) is sim
-    for snr_db in (-1.0, 0.0):
-        fer_ber_sim(small_code, 10 ** (snr_db / 10), 16, 16, 10, SeededRng(31))
-    assert len(inits) == 1
-    assert small_code.simulator(32).scrambler.seed == 32
-    assert len(inits) == 2
-
-
-def test_simulator_cache_releases_old_before_building(small_code, monkeypatch):
-    old = weakref.ref(small_code.simulator(41))
-    alive_at_build = []
-    inner = FrameSimulator.__init__
 
     def watching(self, *args):
         gc.collect()
-        alive_at_build.append(old() is not None)
+        alive_at_draw.append(old() is not None)
         inner(self, *args)
 
-    monkeypatch.setattr(FrameSimulator, "__init__", watching)
-    small_code.simulator(42)
-    assert alive_at_build == [False]
+    monkeypatch.setattr(FrameScrambler, "__init__", watching)
+    fer_ber_sim(small_code, 10 ** (-1.0), 4, 4, 5, SeededRng(42))
+    assert len(draws) == 2 and alive_at_draw == [False]
+    assert sim_module._key.seed == 42
 
 
 def test_deterministic_given_seed(small_code):
@@ -344,8 +421,8 @@ def test_worker_count_does_not_change_result(small_code):
 
 def test_streams_of_one_seed_draw_different_frames(small_code, monkeypatch):
     """Frame i comes from ``rng.spawn(i)`` of the rng given, stream and all:
-    two streams of one seed decode different frames under one scrambler,
-    and the same stream decodes the same frames again."""
+    two streams of one seed decode different frames under one scrambler
+    key, and the same stream decodes the same frames again."""
     received = []
     inner = SumProductDecoder.decode_batch
 
@@ -354,10 +431,11 @@ def test_streams_of_one_seed_draw_different_frames(small_code, monkeypatch):
         return inner(self, llrs, *args)
 
     monkeypatch.setattr(SumProductDecoder, "decode_batch", spy)
+    draws = _spy_key_draws(monkeypatch)
     kwargs = dict(max_frames=8, target_frame_errors=8, max_iter=5)
     for rng in (SeededRng(7).spawn(1), SeededRng(7).spawn(2), SeededRng(7).spawn(1)):
-        fer_ber_sim(small_code, 10 ** (-0.15), rng=rng, **kwargs)
-        assert small_code._simulator.scrambler.seed == 7
+        assert fer_ber_sim(small_code, 10 ** (-0.15), rng=rng, **kwargs).frame_errors > 0
+    assert draws == [(small_code.encoder().k, 7)]
     first, second, again = received
     assert first.shape == second.shape == (8, small_code.n)
     assert not np.any(np.all(first == second, axis=1))
