@@ -10,6 +10,10 @@ from . import gf2
 from .peg import ParityCheckMatrix
 
 
+# reduced rows unpacked at a time while the parity map is read off them
+_ROW_BLOCK = 256
+
+
 @dataclass
 class Gf2Encoder:
     """Maps k-bit messages onto an information set of the code.
@@ -18,6 +22,11 @@ class Gf2Encoder:
     parity, filled so that every check is satisfied. If the parity-check
     matrix is rank deficient, k exceeds the design dimension and
     ``true_rate`` reports the actual k/n.
+
+    ``_phi`` is the (rank, k) parity map packed in the :func:`gf2.pack_rows`
+    layout, an eighth of its unpacked size; row i gives the message bits
+    that sum to parity bit ``pivot_cols[i]``. ``encode_batch`` unpacks it
+    per call.
     """
 
     n: int
@@ -37,22 +46,37 @@ class Gf2Encoder:
             raise ValueError(f"messages must have shape (batch, {self.k})")
         words = np.zeros((msgs.shape[0], self.n), dtype=np.uint8)
         words[:, self.info_cols] = msgs
-        words[:, self.pivot_cols] = gf2.matmul_mod2(msgs, self._phi.T)
+        phi = gf2.unpack_rows(self._phi, self.k)
+        words[:, self.pivot_cols] = gf2.matmul_mod2(msgs, phi.T)
         return words
 
 
 def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
-    """Find an information set via RREF and precompute the parity map."""
-    dense = h.to_dense()
-    m, n = dense.shape
-    words = gf2.pack_rows(dense)
+    """Find an information set via RREF and precompute the parity map.
+
+    H's rows are packed straight from its sparse form and reduced in place
+    (:func:`gf2.rref`); the pivots are the parity positions, and the parity
+    map is read off the reduced rows a block at a time. No dense m x n
+    array is made: the working set is about twice the packed rows, which
+    take m * n / 8 bytes.
+    """
+    csr = h.to_sparse()
+    m, n = csr.shape
+    words = np.zeros((m, (n + 63) // 64), dtype=np.uint64)
+    rows = np.repeat(np.arange(m), np.diff(csr.indptr))
+    cols = csr.indices
+    np.bitwise_or.at(words.view(np.uint8), (rows, cols >> 3),
+                     (1 << (cols & 7)).astype(np.uint8))
     pivots = gf2.rref(words, n)
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n, dtype=np.int64), pivot_cols)
-    reduced = gf2.unpack_rows(words[:rank], n)
-    phi = reduced[:, info_cols]
+    k = n - rank
+    phi = np.empty((rank, (k + 63) // 64), dtype=np.uint64)
+    for r in range(0, rank, _ROW_BLOCK):
+        reduced = gf2.unpack_rows(words[r:min(r + _ROW_BLOCK, rank)], n)
+        phi[r:r + _ROW_BLOCK] = gf2.pack_rows(reduced[:, info_cols])
     return Gf2Encoder(
-        n=n, k=n - rank, rank=rank, info_cols=info_cols,
+        n=n, k=k, rank=rank, info_cols=info_cols,
         pivot_cols=pivot_cols, _phi=phi,
     )

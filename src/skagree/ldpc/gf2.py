@@ -119,17 +119,28 @@ def _clear_block(words: np.ndarray, octet: np.ndarray, top: int, pos: list[int])
 
 
 def invert(bits: np.ndarray) -> np.ndarray | None:
-    """Inverse of a square GF(2) matrix, or None if singular."""
+    """Inverse of a square GF(2) matrix as a (k, k) uint8 array, or None if
+    singular.
+
+    The augmented matrix [A | I] is written straight into packed words (A's
+    rows packed, then bit k + i set in row i) and reduced in place; the
+    inverse half is unpacked into an array of its own, so the result keeps
+    no k x 2k buffer alive.
+    """
     a = np.asarray(bits, dtype=np.uint8)
     k = a.shape[0]
     if a.shape != (k, k):
         raise ValueError("matrix must be square")
-    augmented = np.concatenate([a, np.eye(k, dtype=np.uint8)], axis=1)
-    words = pack_rows(augmented)
-    pivots = rref(words, k)
-    if pivots != list(range(k)):
+    words = np.zeros((k, (2 * k + 63) // 64), dtype=np.uint64)
+    octets = words.view(np.uint8)
+    octets[:, :(k + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
+    eye = k + np.arange(k)
+    octets[np.arange(k), eye >> 3] |= (1 << (eye & 7)).astype(np.uint8)
+    if rref(words, k) != list(range(k)):
         return None
-    return unpack_rows(words, 2 * k)[:, k:]
+    # the inverse's bits k .. 2k-1 lie in bytes k // 8 onward
+    half = np.unpackbits(octets[:, k >> 3:], axis=1, bitorder="little")
+    return half[:, k & 7:(k & 7) + k].copy()
 
 
 def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

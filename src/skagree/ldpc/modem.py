@@ -27,9 +27,14 @@ def qpsk_symbols(bits: np.ndarray, snr_lambda: float) -> np.ndarray:
 
 def llrs_from_rx(received: np.ndarray, snr_lambda: float, n_bits: int) -> np.ndarray:
     """(batch, n_bits) channel LLRs from (batch, symbols) received symbols:
-    4 * sqrt(snr/2) * quadrature."""
+    4 * sqrt(snr/2) * quadrature.
+
+    A complex128 array stores each symbol's real and imaginary parts side
+    by side, which is the LLR order (I bit, then Q bit), so the LLRs are
+    ``received`` scaled in place and viewed as floats. A contiguous
+    complex128 ``received`` is overwritten; pass a temporary or a copy.
+    """
     gain = 4.0 * np.sqrt(snr_lambda / 2.0)
-    llrs = np.empty((received.shape[0], 2 * received.shape[1]))
-    llrs[:, 0::2] = gain * received.real
-    llrs[:, 1::2] = gain * received.imag
+    llrs = np.ascontiguousarray(received, dtype=complex).view(np.float64)
+    llrs *= gain
     return llrs[:, :n_bits]

@@ -12,6 +12,8 @@ from ..channels import SeededRng
 from . import gf2
 
 _MAX_DRAWS = 64
+# rows of the key that one product step casts to float32
+_ROW_BLOCK = 128
 
 
 class FrameScrambler:
@@ -42,7 +44,13 @@ class FrameScrambler:
         return self._mul(bits, self.inverse)
 
     def _mul(self, bits, mat) -> np.ndarray:
+        """(bits @ mat.T) mod 2, a block of ``mat``'s rows at a time, so that
+        only that block is ever cast to float."""
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.length:
             raise ValueError(f"expected (batch, {self.length}) frames")
-        return gf2.matmul_mod2(arr, mat.T)
+        out = np.empty(arr.shape, dtype=np.uint8)
+        frames = arr.astype(np.float32)
+        for j in range(0, self.length, _ROW_BLOCK):
+            out[:, j:j + _ROW_BLOCK] = gf2.matmul_mod2(frames, mat[j:j + _ROW_BLOCK].T)
+        return out

@@ -92,13 +92,18 @@ class FrameSimulator:
     def run_frames(self, frame_ids, snr_lambda: float, max_iter: int,
                    rng: SeededRng):
         """Per-frame error flags for the given frame indices, and the decoded
-        message bits of the erroneous frames, in frame order."""
-        noise = np.empty((len(frame_ids), self.n_symbols), dtype=complex)
+        message bits of the erroneous frames, in frame order.
+
+        The batch's noise, received symbols and LLRs share one buffer: each
+        frame's noise is drawn into its row, the all-zero word's symbols are
+        added in place, and ``llrs_from_rx`` scales it in place.
+        """
+        rx = np.empty((len(frame_ids), self.n_symbols), dtype=complex)
         for row, frame in enumerate(frame_ids):
-            noise[row] = rng.spawn(int(frame)).complex_normals(self.n_symbols)
+            rx[row] = rng.spawn(int(frame)).complex_normals(self.n_symbols)
         # one all-zero row broadcasts over the batch
         zero = np.zeros((1, self.h.n), dtype=np.uint8)
-        rx = qpsk_symbols(zero, snr_lambda) + noise
+        rx += qpsk_symbols(zero, snr_lambda)
         llrs = llrs_from_rx(rx, snr_lambda, self.h.n)
         bits, _, _ = self.decoder.decode_batch(llrs, max_iter)
         info = bits[:, self.encoder.info_cols]

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from skagree.channels import PdpProfile, SeededRng, exponential_pdp, sample_tap_matrix
+from skagree.channels import (
+    _BITS_BLOCK,
+    PdpProfile,
+    SeededRng,
+    exponential_pdp,
+    sample_tap_matrix,
+)
 
 
 class TestSeededRng:
@@ -29,6 +35,20 @@ class TestSeededRng:
         z = SeededRng(3).complex_normals(200_000)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
         assert abs(z.mean()) < 0.01
+
+    @pytest.mark.parametrize("size", [
+        1, _BITS_BLOCK - 1, _BITS_BLOCK, _BITS_BLOCK + 1, 3 * _BITS_BLOCK + 5,
+        (300, 700), (0, 3),
+    ])
+    def test_bits_are_uniforms_below_one_half(self, size):
+        """Bits read off raw words equal the float draw's ``< 0.5``, and
+        leave the stream where that draw does."""
+        a, b = SeededRng(8, 3), SeededRng(8, 3)
+        bits = a.bits(size)
+        expected = (b.uniform(size) < 0.5).astype(np.uint8)
+        assert bits.dtype == np.uint8 and bits.shape == expected.shape
+        assert np.array_equal(bits, expected)
+        assert a.uniform() == b.uniform()
 
 
 class TestExponentialPdp:

@@ -13,6 +13,7 @@ from skagree.ldpc import (
     read_alist,
     write_alist,
 )
+from skagree.ldpc import gf2
 from skagree.ldpc.peg import _bipartite_girth
 
 
@@ -351,6 +352,50 @@ class TestEncoder:
         assert (enc.rank, enc.k) == (0, 8)
         msgs = SeededRng(2).bits((5, 8))
         assert np.array_equal(enc.encode_batch(msgs), msgs)
+
+
+def _dense_derive(h: ParityCheckMatrix):
+    """The encoder derivation through dense arrays, as the reference: H
+    unpacked to bytes, packed, reduced, and the parity map read off the
+    whole unpacked reduced matrix."""
+    dense = h.to_dense()
+    words = gf2.pack_rows(dense)
+    pivot_cols = np.asarray(gf2.rref(words, h.n), dtype=np.int64)
+    info_cols = np.setdiff1d(np.arange(h.n), pivot_cols)
+    phi = gf2.unpack_rows(words[:pivot_cols.size], h.n)[:, info_cols]
+    return info_cols, pivot_cols, phi
+
+
+def _redundant_code():
+    base = peg_construct(30, 0.5, 3, SeededRng(7)).to_dense()
+    return ParityCheckMatrix(np.vstack([base, (base[0] + base[1]) % 2]))
+
+
+_DERIVE_CASES = {
+    "peg-60": lambda: peg_construct(60, 0.5, 3, SeededRng(3)),
+    "peg-512": lambda: peg_construct(512, 0.25, 3, SeededRng(9)),
+    "peg-2000": lambda: peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0)),
+    "rank-deficient": _redundant_code,
+    "zero": lambda: ParityCheckMatrix(np.zeros((3, 8), dtype=np.uint8)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DERIVE_CASES))
+def test_derive_encoder_matches_dense_reference(name):
+    h = _DERIVE_CASES[name]()
+    enc = derive_encoder(h)
+    info_cols, pivot_cols, phi = _dense_derive(h)
+    assert np.array_equal(enc.info_cols, info_cols)
+    assert np.array_equal(enc.pivot_cols, pivot_cols)
+    assert (enc.rank, enc.k) == (pivot_cols.size, info_cols.size)
+    assert enc._phi.dtype == np.uint64
+    assert enc._phi.shape == (enc.rank, (enc.k + 63) // 64)
+    assert np.array_equal(gf2.unpack_rows(enc._phi, enc.k), phi)
+    msgs = SeededRng(4).bits((9, enc.k))
+    expected = np.zeros((9, h.n), dtype=np.uint8)
+    expected[:, info_cols] = msgs
+    expected[:, pivot_cols] = msgs.astype(np.int64) @ phi.T % 2
+    assert np.array_equal(enc.encode_batch(msgs), expected)
 
 
 class TestAlist:

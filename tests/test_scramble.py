@@ -3,6 +3,7 @@ import pytest
 
 from skagree.channels import SeededRng
 from skagree.ldpc import FrameScrambler
+from skagree.ldpc.gf2 import pack_rows, rref, unpack_rows
 
 
 def test_round_trip_identity():
@@ -60,3 +61,28 @@ def test_different_seeds_different_maps():
     assert not np.array_equal(
         FrameScrambler(128, seed=1).apply(block), FrameScrambler(128, seed=2).apply(block)
     )
+
+
+def _dense_key(k: int, seed: int):
+    """The key drawn through dense arrays, as the reference: float uniforms
+    below 1/2 until one candidate's identity-augmented matrix reduces to
+    [I | inverse]."""
+    rng = SeededRng(seed)
+    while True:
+        matrix = (rng.uniform((k, k)) < 0.5).astype(np.uint8)
+        words = pack_rows(np.concatenate([matrix, np.eye(k, dtype=np.uint8)], axis=1))
+        if rref(words, k) == list(range(k)):
+            return matrix, unpack_rows(words, 2 * k)[:, k:]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 7, 63, 64, 65, 500])
+def test_key_matches_dense_reference(k, seed):
+    scr = FrameScrambler(k, seed)
+    matrix, inverse = _dense_key(k, seed)
+    assert scr.matrix.dtype == scr.inverse.dtype == np.uint8
+    assert np.array_equal(scr.matrix, matrix)
+    assert np.array_equal(scr.inverse, inverse)
+    frames = SeededRng(seed + 10).bits((5, k))
+    assert np.array_equal(scr.apply(frames), frames.astype(np.int64) @ matrix.T % 2)
+    assert np.array_equal(scr.invert_bits(frames), frames.astype(np.int64) @ inverse.T % 2)

@@ -320,6 +320,14 @@ def test_pool_workers_draw_no_key(small_code, monkeypatch):
     assert not any(isinstance(value, FrameScrambler) for value in installed)
 
 
+def test_pickled_simulator_is_smaller_than_the_unpacked_parity_map():
+    """The pool initializer pickles the simulator to each worker; the
+    encoder it holds keeps its parity map packed, so the whole simulator
+    pickles to less than the rank x k bytes of the unpacked map alone."""
+    sim = FrameSimulator(peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0)))
+    assert len(pickle.dumps(sim)) < sim.encoder.rank * sim.encoder.k
+
+
 def test_pooled_path_under_spawn_matches_serial(small_code):
     """Under ``spawn`` (the default on macOS and Windows) the initializer's
     simulator is pickled to each worker; the estimate is the serial one."""
