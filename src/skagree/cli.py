@@ -128,24 +128,26 @@ def _csv_cell(x) -> str:
 _CSV_CHUNK_ROWS = 4096
 
 
-def _csv_column(values: tuple) -> list[str]:
+def _csv_column(values) -> list[str]:
     """The ``_csv_cell`` of each value; all-float columns in one numpy call."""
     if all(issubclass(k, (float, np.floating)) for k in set(map(type, values))):
         return list(map(repr, np.asarray(values, dtype=float).tolist()))
     return list(map(_csv_cell, values))
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+def _csv_bytes(header: list[str], rows) -> bytes:
     """CSV of int and float rows, as ``csv.writer`` writes their ``_csv_cell``.
 
-    Numeric cells need no quoting, so rows are joined directly, a few
-    thousand at a time so that the cell strings stay few.
+    ``rows`` is a list of rows or a 2-D numeric array. Numeric cells need
+    no quoting, so rows are joined directly, a few thousand at a time so
+    that the cell strings stay few.
     """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
     for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-        columns = map(_csv_column, zip(*rows[lo:lo + _CSV_CHUNK_ROWS], strict=True))
-        buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        chunk = rows[lo:lo + _CSV_CHUNK_ROWS]
+        columns = chunk.T if isinstance(chunk, np.ndarray) else zip(*chunk, strict=True)
+        buf.write("\n".join(map(",".join, zip(*map(_csv_column, columns)))) + "\n")
     return buf.getvalue().encode()
 
 
@@ -241,8 +243,8 @@ def _run_sk_cdf(p: dict, rng: SeededRng, workers: int):
     prob = np.arange(1, p["samples"] + 1) / p["samples"]
     header = ["rate_bits_per_use", "cumulative_probability"]
     files = {
-        "csv": (header, np.column_stack((cdf.secret_key_rates, prob)).tolist()),
-        "secrecy.csv": (header, np.column_stack((cdf.secrecy_rates, prob)).tolist()),
+        "csv": (header, np.column_stack((cdf.secret_key_rates, prob))),
+        "secrecy.csv": (header, np.column_stack((cdf.secrecy_rates, prob))),
     }
     meta = {
         "secrecy_curve": "reconstructed comparison curve",

@@ -10,8 +10,9 @@ from . import gf2
 from .peg import ParityCheckMatrix
 
 
-# reduced rows unpacked at a time while the parity map is read off them
-_ROW_BLOCK = 256
+# reduced rows unpacked at a time while the parity map is read off them,
+# n bytes each: 0.6 MiB at n=10000, beside 9 MiB of packed rows
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -57,8 +58,8 @@ def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
     H's rows are packed straight from its sparse form and reduced in place
     (:func:`gf2.rref`); the pivots are the parity positions, and the parity
     map is read off the reduced rows a block at a time. No dense m x n
-    array is made: the working set is about twice the packed rows, which
-    take m * n / 8 bytes.
+    array is made: the working set is the packed rows, which take m * n / 8
+    bytes, and the packed parity map, plus blocks of rows.
     """
     csr = h.to_sparse()
     m, n = csr.shape
@@ -74,8 +75,9 @@ def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
     k = n - rank
     phi = np.empty((rank, (k + 63) // 64), dtype=np.uint64)
     for r in range(0, rank, _ROW_BLOCK):
-        reduced = gf2.unpack_rows(words[r:min(r + _ROW_BLOCK, rank)], n)
-        phi[r:r + _ROW_BLOCK] = gf2.pack_rows(reduced[:, info_cols])
+        # of a block's unpacked rows only the information columns are kept
+        reduced = gf2.unpack_rows(words[r:min(r + _ROW_BLOCK, rank)], n)[:, info_cols]
+        phi[r:r + _ROW_BLOCK] = gf2.pack_rows(reduced)
     return Gf2Encoder(
         n=n, k=k, rank=rank, info_cols=info_cols,
         pivot_cols=pivot_cols, _phi=phi,

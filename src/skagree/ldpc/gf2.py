@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# rows a block clear updates at a time; their gathered sums are the clear's
+# only temporary, 0.3 MiB at n=10000 where the packed rows take 9 MiB
+_CLEAR_ROWS = 256
+
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (rows, n) 0/1 matrix into little-endian uint64 words per row."""
@@ -112,9 +116,12 @@ def _clear_block(words: np.ndarray, octet: np.ndarray, top: int, pos: list[int])
     clear = clearing[octet]
     hit = np.flatnonzero(clear)
     if 2 * hit.size < clear.size:  # a sparse block: gather only the rows it changes
-        words[hit] ^= sums[clear[hit]]
+        for lo in range(0, hit.size, _CLEAR_ROWS):
+            rows = hit[lo:lo + _CLEAR_ROWS]
+            words[rows] ^= sums[clear[rows]]
     else:
-        words ^= sums[clear]
+        for lo in range(0, clear.size, _CLEAR_ROWS):
+            words[lo:lo + _CLEAR_ROWS] ^= sums[clear[lo:lo + _CLEAR_ROWS]]
     words[top:top + nb] = sums[masks]
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -386,6 +387,21 @@ def test_rerun_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_sk_cdf_golden_csv(tmp_path):
+    """The shipped M=256 sk-cdf config at 5000 samples keeps the sha256 of
+    both CSV bodies: the draws span many channel chunks and the rows two
+    render chunks."""
+    raw = json.loads((_CONFIGS / "sk_cdf_m256.json").read_text())
+    run(ExperimentConfig.from_dict("sk-cdf", dict(raw, samples=5000, out="g")),
+        out_dir=str(tmp_path))
+    digests = {name: hashlib.sha256((tmp_path / f"g.{name}").read_bytes()).hexdigest()
+               for name in ("csv", "secrecy.csv")}
+    assert digests == {
+        "csv": "e28cd9d2425b8ea3e7add08ad0edf6cdb3eb41bd9d36fa2fb4933fdc501b6334",
+        "secrecy.csv": "122945306d6e1d28d222d2644e6b4ae72e78a0d2eed8d0c3e6a70ebf07ce5a95",
+    }
+
+
 def _csv_writer_bytes(header, rows):
     """What ``csv.writer`` writes for the cells as Python floats and ints."""
     buf = io.StringIO()
@@ -410,6 +426,8 @@ _CSV_TABLES = {
     "no-rows": [],
     "one-column": [[0.5], [np.float64(-0.0)]],
     "many-rows": [[i, i / 7.0] for i in range(10_000)],
+    # the form sk-cdf hands over: a 2-D float64 array
+    "float64-array": np.column_stack((np.tile(_FLOATS, 1000), np.arange(9000) / 7.0)),
 }
 
 

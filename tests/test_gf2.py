@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import skagree.ldpc.gf2 as gf2
 from skagree.ldpc.gf2 import invert, pack_rows, rref, unpack_rows
 
 
@@ -69,6 +70,17 @@ def test_rref_matches_reference(name, bits):
     pivots = rref(words, bits.shape[1])
     assert pivots == expected_pivots
     assert np.array_equal(unpack_rows(words, bits.shape[1]), expected)
+
+
+def test_rref_clears_in_row_chunks(monkeypatch):
+    """Block clears three rows at a time, in the sparse and the dense form,
+    give the reference result on every matrix."""
+    monkeypatch.setattr(gf2, "_CLEAR_ROWS", 3)
+    for _, bits in MATRICES:
+        expected, expected_pivots = reference_rref(bits)
+        words = pack_rows(bits)
+        assert rref(words, bits.shape[1]) == expected_pivots
+        assert np.array_equal(unpack_rows(words, bits.shape[1]), expected)
 
 
 def _square(rng, k, singular):

@@ -1,4 +1,5 @@
-"""Working sets of the LDPC path's GF(2) and frame-batch steps.
+"""Working sets of the LDPC path's GF(2) and frame-batch steps, and of the
+rate-outage path.
 
 ``tracemalloc`` sees numpy's array buffers, so a step's traced peak is the
 most memory its arrays held at once. Each bound sits below what the step's
@@ -10,10 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skagree.channels import SeededRng
-from skagree.ldpc import FrameScrambler, derive_encoder, peg_construct
+import skagree.outage as outage
+from skagree.channels import SeededRng, exponential_pdp
+from skagree.ldpc import FrameScrambler, derive_encoder, gf2, peg_construct
 from skagree.ldpc.modem import qpsk_symbols
 from skagree.ldpc.sim import FrameSimulator
+from skagree.ofdm import OfdmConfig
 
 
 def _traced_peak(fn):
@@ -28,13 +31,26 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def test_rref_clear_stays_below_half_the_packed_rows():
+    """A block clear gathered one pivot-row sum per row at once, a second
+    copy of the packed rows; cleared in row chunks it needs a fraction."""
+    bits = np.random.default_rng(6).integers(0, 2, (2048, 2048), dtype=np.uint8)
+    words = gf2.pack_rows(bits)
+    _, peak = _traced_peak(lambda: gf2.rref(words, 2048))
+    assert peak < words.nbytes // 2
+
+
 def test_derive_encoder_stays_below_one_dense_copy_of_h():
-    """Dense derivation held several m x n byte arrays (6.9 MiB at n=2000);
-    packed rows need about m * n / 8 bytes."""
+    """Dense derivation held several m x n byte arrays (6.9 MiB at n=2000),
+    and a block clear in one gather a second copy of the packed rows. The
+    packed rows (m * n / 8 bytes) and the packed parity map are what the
+    derivation must hold; row-chunked clears and readout keep the rest
+    below their size."""
     h = peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0))
     m, n = h.shape
-    _, peak = _traced_peak(lambda: derive_encoder(h))
-    assert peak < m * n
+    enc, peak = _traced_peak(lambda: derive_encoder(h))
+    packed_rows = m * ((n + 63) // 64) * 8
+    assert peak < 2 * (packed_rows + enc._phi.nbytes)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -75,3 +91,33 @@ def test_run_frames_builds_the_batch_in_one_buffer():
     assert 0 < wrong.sum() < frames
     assert np.array_equal(wrong, ref_wrong) and np.array_equal(info, ref_info)
     assert peak + frames * sim.h.n * 8 <= ref_peak
+
+
+# a spectrum of 1024 legitimate draws at M=256, complex128
+_SPECTRUM_BLOCK = 1024 * 256 * 16
+
+
+def test_conditional_outage_holds_its_survivals_and_two_spectrum_blocks():
+    """Drawing 8192 channels a chunk held a 32 MiB spectrum and a 16 MiB
+    gain array (66 MiB traced at 200 000 peaks); the estimator needs every
+    peak's survival per positive rate, and a cache-sized block of draws."""
+    cfg = OfdmConfig(subcarriers=256, cp_len=16)
+    pdp = exponential_pdp(16, -10.0, 0.5)
+    rates, peaks = [0.05, 0.1], 200_000
+    probs, peak = _traced_peak(lambda: outage.sk_rate_outage_probability(
+        cfg, pdp, pdp, -1.0, rates, peaks, SeededRng(4)))
+    assert 0.0 < probs[0] < probs[1] < 1.0
+    assert peak < len(rates) * peaks * 8 + 2 * _SPECTRUM_BLOCK
+
+
+def test_rate_outage_cdf_holds_its_rates_and_two_spectrum_blocks():
+    """The Monte Carlo CDF keeps both rates per draw, sorted, and a
+    cache-sized block of draws (69 MiB traced at 50 000 draws with 8192
+    channels a chunk)."""
+    cfg = OfdmConfig(subcarriers=256, cp_len=16)
+    pdp = exponential_pdp(16, -10.0, 0.5)
+    draws = 50_000
+    cdf, peak = _traced_peak(lambda: outage.sk_rate_outage_cdf(
+        cfg, pdp, pdp, -1.0, draws, SeededRng(3)))
+    assert cdf.secret_key_rates.size == draws
+    assert peak < 4 * draws * 8 + 2 * _SPECTRUM_BLOCK

@@ -221,6 +221,18 @@ class TestLambdaECdf:
         )
         assert lambda_e_cdf(np.ones((2, 3)), spec).shape == (2, 3)
 
+    def test_value_does_not_depend_on_the_thetas_beside_it(self):
+        # a matrix-vector product summed the last rows of a call in another
+        # order, so a theta's CDF moved in its last bits with the call's size
+        cfg = OfdmConfig(subcarriers=64, cp_len=8)
+        pdp = exponential_pdp(8, -10.0, 0.5)
+        spec = EigenSpectrum.from_matrix(build_c_matrix(cfg, pdp, 1.0))
+        grid = 3.0 * SeededRng(18).uniform(2000)
+        whole = lambda_e_cdf(grid, spec)
+        for size in (1, 2, 3, 7):
+            parts = [lambda_e_cdf(grid[lo:lo + size], spec) for lo in range(0, grid.size, size)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
     def test_rejects_negative_theta(self):
         with pytest.raises(ValueError):
             lambda_e_cdf(-0.1, EigenSpectrum(np.array([1.0])))
@@ -378,6 +390,16 @@ class TestConditionalRateOutage:
                    for r in rates]
         assert list(out) == singles
         assert 0.0 < out[1] < out[0] < 1.0
+
+    def test_chunking_invariant(self, monkeypatch):
+        # per-chunk partial sums moved the last bits with the chunk size
+        cfg = OfdmConfig(subcarriers=64, cp_len=8)
+        pdp = exponential_pdp(8, -10.0, 0.5)
+        args = (cfg, pdp, pdp, -1.0, [0.3, 0.05], 20_000)
+        default = sk_rate_outage_probability(*args, SeededRng(16))
+        for chunk in (37, 300):
+            monkeypatch.setattr(outage, "_CHUNK", chunk)
+            assert np.array_equal(sk_rate_outage_probability(*args, SeededRng(16)), default)
 
     def test_no_rate_above_zero_draws_no_channel(self, monkeypatch):
         # every such rate has probability 0, known before any draw; the
