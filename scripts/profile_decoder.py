@@ -52,7 +52,8 @@ def profile(decoder: SumProductDecoder, llrs: np.ndarray) -> Counter:
         marks = [clock()]
         np.take(post, decoder._var_of_pos, axis=0, out=t, mode="clip")
         marks.append(clock())
-        decoder._checks_satisfied(t, neg)
+        np.less(t, 0.0, out=neg)
+        decoder._checks_satisfied(neg)
         marks.append(clock())
         decoder._check_update(t, c)
         marks.append(clock())

@@ -8,14 +8,13 @@ column indices of each row (zero-padded to max_row_w).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .peg import ParityCheckMatrix, _adjacency_arrays
 
 
 def write_alist(h: ParityCheckMatrix, path) -> None:
     # the adjacency arrays pad with -1, which becomes the alist's 0
-    check_adj, var_adj = _adjacency_arrays(h.to_sparse())
+    check_adj, var_adj = _adjacency_arrays(h)
     lines = [
         f"{h.n} {h.num_checks}",
         f"{var_adj.shape[1]} {check_adj.shape[1]}",
@@ -52,8 +51,7 @@ def read_alist(path) -> ParityCheckMatrix:
     if _edges(rows[4 + n:], n) != {(c, v) for v, c in var_edges}:
         raise ValueError("malformed alist file")
     v_idx, c_idx = np.array(list(var_edges), dtype=np.int64).reshape(-1, 2).T
-    h = ParityCheckMatrix(sp.csr_matrix(
-        (np.ones(v_idx.size, dtype=np.uint8), (c_idx, v_idx)), shape=(m, n)))
+    h = ParityCheckMatrix.from_edges((m, n), c_idx, v_idx)
     if h.col_weights().tolist() != rows[2] or h.row_weights().tolist() != rows[3]:
         raise ValueError("malformed alist file")
     return h

@@ -59,7 +59,7 @@ class SumProductDecoder:
     """
 
     def __init__(self, h: ParityCheckMatrix, dtype=np.float64):
-        self.h = h
+        self.n = h.n
         self.dtype = dtype = np.dtype(dtype)
         self._tanh_ceil = dtype.type(1.0 - max(_TANH_MARGIN, np.finfo(dtype).epsneg))
         chk_of_edge, var_of_edge = h.tanner_edges()
@@ -94,26 +94,28 @@ class SumProductDecoder:
     def decode_batch(self, llrs, max_iter: int = 100):
         """Decode (batch, n) LLR rows; returns (bits, converged, iterations).
 
-        Frames whose channel decisions already satisfy every check retire
-        with 0 iterations. The rest are decoded in a window of
-        ``_window_frames`` columns, each holding one frame and the number of
-        iterations it has run. Each step starts by gathering the posteriors
-        onto the slot planes, which also gives every check's parity for the
-        last iteration's hard decisions, so a column retires there,
-        converged or after ``max_iter`` iterations, and the next queued
-        frame takes its column in place. Once the queue is empty the window
-        narrows as its frames retire.
+        Frames whose channel decisions already satisfy every check (read off
+        the slot planes, ``_window_frames`` frames at a time) retire with 0
+        iterations. The rest are decoded in a window of ``_window_frames``
+        columns, each holding one frame and the number of iterations it has
+        run. Each step starts by gathering the posteriors onto the slot planes,
+        which also gives every check's parity for the last iteration's hard
+        decisions, so a column retires there, converged or after ``max_iter``
+        iterations, and the next queued frame takes its column in place. Once
+        the queue is empty the window narrows as its frames retire.
         """
         llrs = np.asarray(llrs, dtype=float)
-        if llrs.ndim != 2 or llrs.shape[1] != self.h.n:
-            raise ValueError(f"expected (batch, n) LLRs with n = {self.h.n}")
+        if llrs.ndim != 2 or llrs.shape[1] != self.n:
+            raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
         # clipped in float64; the messages take ``dtype`` from here on
         llrs = np.clip(llrs, -_CLAMP, _CLAMP)
         dtype = self.dtype
         bits = (llrs < 0).astype(np.uint8)
-        converged = ~np.any(self.h.syndrome(bits), axis=1) & np.all(
-            llrs != 0.0, axis=1
-        )
+        converged = np.all(llrs != 0.0, axis=1)
+        step = self._window_frames
+        for lo in range(0, len(bits), step):
+            converged[lo:lo + step] &= self._checks_satisfied(
+                np.take(bits[lo:lo + step].T, self._var_of_pos, axis=0))
         iterations = np.where(converged, 0, max_iter)
         queue = np.flatnonzero(~converged)
         if queue.size == 0 or max_iter <= 0:  # no iteration to run
@@ -132,7 +134,7 @@ class SumProductDecoder:
             np.take(post, self._var_of_pos, axis=0, out=t, mode="clip")
             done = count == max_iter
             if count.any():
-                ok = self._checks_satisfied(t, neg) & (count > 0)
+                ok = self._checks_satisfied(np.less(t, 0.0, out=neg)) & (count > 0)
                 if ok.any():
                     ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
                     converged[frame[ok]] = True
@@ -168,15 +170,14 @@ class SumProductDecoder:
             self._posteriors(half_llr, c, g, out=post)
             count += 1
 
-    def _checks_satisfied(self, t: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        """Per frame, whether the signs gathered in ``t`` satisfy every check.
+    def _checks_satisfied(self, neg: np.ndarray) -> np.ndarray:
+        """Per column, whether the sign planes ``neg`` satisfy every check.
 
-        ``neg`` is work space; the parities are XORed onto plane 0 the way
-        :meth:`_leave_one_out` walks the planes, then the checks are ORed
-        into a few rows by halving: ``any`` over axis 0 of many short rows
-        would take one inner loop per check.
+        ``neg`` (bool or 0/1 bytes) is used up: the parities are XORed onto
+        plane 0 the way :meth:`_leave_one_out` walks the planes, then the
+        checks are ORed into a few rows by halving: ``any`` over axis 0 of
+        many short rows would take one inner loop per check.
         """
-        np.less(t, 0.0, out=neg)
         (_, m), *rest = self._planes
         parity = neg[:m]
         for o, k in rest:
@@ -230,7 +231,7 @@ class SumProductDecoder:
         The slot planes add as ``s0 + ((s1 + s2) + ...)``, the order in which
         ``reduceat`` sums a variable's messages (up to eight of them).
         """
-        n = self.h.n
+        n = self.n
         np.take(c, self._var_gather, axis=0, out=g, mode="clip")
         rest = g[n:2 * n]
         if g.shape[0] > 2 * n:

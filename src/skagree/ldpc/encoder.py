@@ -55,17 +55,15 @@ class Gf2Encoder:
 def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
     """Find an information set via RREF and precompute the parity map.
 
-    H's rows are packed straight from its sparse form and reduced in place
+    H's rows are packed straight from its Tanner edges and reduced in place
     (:func:`gf2.rref`); the pivots are the parity positions, and the parity
     map is read off the reduced rows a block at a time. No dense m x n
     array is made: the working set is the packed rows, which take m * n / 8
     bytes, and the packed parity map, plus blocks of rows.
     """
-    csr = h.to_sparse()
-    m, n = csr.shape
+    m, n = h.shape
     words = np.zeros((m, (n + 63) // 64), dtype=np.uint64)
-    rows = np.repeat(np.arange(m), np.diff(csr.indptr))
-    cols = csr.indices
+    rows, cols = h.tanner_edges()
     np.bitwise_or.at(words.view(np.uint8), (rows, cols >> 3),
                      (1 << (cols & 7)).astype(np.uint8))
     pivots = gf2.rref(words, n)

@@ -3,60 +3,66 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..channels import SeededRng
 
 
 class ParityCheckMatrix:
-    """Sparse binary parity-check matrix with Tanner-graph bookkeeping."""
+    """Binary parity-check matrix, held as its Tanner graph's edges: two
+    read-only int64 arrays, check-major, from which every other form derives."""
 
     def __init__(self, matrix):
-        csr = sp.csr_matrix(matrix, dtype=np.uint8)
-        csr.eliminate_zeros()
-        csr.data[:] = 1
-        csr.sort_indices()
-        self._csr = csr
-        self._girth: int | None | str = "unset"
-        self._encoder = None
+        dense = np.asarray(matrix)
+        self._set_edges(dense.shape, *np.nonzero(dense))
+
+    @classmethod
+    def from_edges(cls, shape, checks, variables) -> ParityCheckMatrix:
+        """H with a 1 at each (check, variable) pair, given once, in any order."""
+        h = cls.__new__(cls)
+        order = np.lexsort((variables, checks))
+        h._set_edges(shape, np.asarray(checks)[order], np.asarray(variables)[order])
+        return h
+
+    def _set_edges(self, shape, checks, variables) -> None:
+        self._shape = tuple(map(int, shape))
+        self._checks, self._variables = checks.astype(np.int64), variables.astype(np.int64)
+        self._checks.flags.writeable = self._variables.flags.writeable = False
+        self._girth, self._encoder = "unset", None
 
     @property
     def shape(self):
-        return self._csr.shape
+        return self._shape
 
     @property
     def n(self) -> int:
         """Codeword length (number of variable nodes)."""
-        return self._csr.shape[1]
+        return self._shape[1]
 
     @property
     def num_checks(self) -> int:
-        return self._csr.shape[0]
+        return self._shape[0]
 
     def col_weights(self) -> np.ndarray:
-        return np.diff(self._csr.tocsc().indptr)
+        return np.bincount(self._variables, minlength=self.n)
 
     def row_weights(self) -> np.ndarray:
-        return np.diff(self._csr.indptr)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        return self._csr
+        return np.bincount(self._checks, minlength=self.num_checks)
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        dense = np.zeros(self._shape, dtype=np.uint8)
+        dense[self._checks, self._variables] = 1
+        return dense
 
     def tanner_edges(self):
         """Edges in check-major order: (check index, variable index) arrays."""
-        check_of_edge = np.repeat(
-            np.arange(self.num_checks), np.diff(self._csr.indptr)
-        )
-        return check_of_edge, self._csr.indices.astype(np.int64)
+        return self._checks, self._variables
 
     def syndrome(self, bits) -> np.ndarray:
         """Parity of every check for one word or a (batch, n) block."""
-        # uint8 sums wrap mod 256, which keeps their parity
         arr = np.asarray(bits, dtype=np.uint8)
-        return (self._csr.dot(arr.T) & 1).T
+        adj = _padded_neighbors(self._checks, self._variables, self.num_checks)
+        # a padding slot (-1) reads 0, so an empty check is satisfied
+        return np.bitwise_xor.reduce(np.where(adj >= 0, arr[..., adj], 0), axis=-1) & 1
 
     def encoder(self):
         """Cached encoder derived by GF(2) elimination (see ``derive_encoder``)."""
@@ -69,30 +75,30 @@ class ParityCheckMatrix:
     def girth(self) -> int | None:
         """Exact length of the shortest Tanner-graph cycle (None if acyclic)."""
         if self._girth == "unset":
-            self._girth = _bipartite_girth(self._csr)
+            self._girth = _bipartite_girth(self)
         return self._girth
 
 
-def _padded_neighbors(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """One row per compressed row of a CSR/CSC structure, padded with -1."""
-    deg = np.diff(indptr)
-    adj = np.full((deg.size, max(1, deg.max(initial=0))), -1, dtype=np.int64)
-    row = np.repeat(np.arange(deg.size), deg)
-    slot = np.arange(indices.size) - indptr[row]
-    adj[row, slot] = indices
+def _padded_neighbors(node: np.ndarray, other: np.ndarray, count: int) -> np.ndarray:
+    """Row i: the ``other`` ends of node i's edges (``node`` sorted), padded with -1."""
+    deg = np.bincount(node, minlength=count)
+    adj = np.full((count, max(1, deg.max(initial=0))), -1, dtype=np.int64)
+    starts = np.cumsum(deg) - deg
+    adj[node, np.arange(node.size) - starts[node]] = other
     return adj
 
 
-def _adjacency_arrays(csr: sp.csr_matrix):
+def _adjacency_arrays(h: ParityCheckMatrix):
     """Padded neighbor arrays (fill -1) for both sides of the Tanner graph."""
-    csc = csr.tocsc()
+    checks, variables = h.tanner_edges()
+    by_var = np.argsort(variables, kind="stable")
     return (
-        _padded_neighbors(csr.indptr, csr.indices),
-        _padded_neighbors(csc.indptr, csc.indices),
+        _padded_neighbors(checks, variables, h.num_checks),
+        _padded_neighbors(variables[by_var], checks[by_var], h.n),
     )
 
 
-def _bipartite_girth(csr: sp.csr_matrix) -> int | None:
+def _bipartite_girth(h: ParityCheckMatrix) -> int | None:
     """Exact girth by collision BFS from every check node.
 
     Expanding level by level, a cycle through the source shows up the first
@@ -100,8 +106,8 @@ def _bipartite_girth(csr: sp.csr_matrix) -> int | None:
     entering level d closes a cycle of length 2d. The minimum over all
     check-side sources is the girth (every cycle contains a check node).
     """
-    m, n = csr.shape
-    check_adj, var_adj = _adjacency_arrays(csr)
+    m, n = h.shape
+    check_adj, var_adj = _adjacency_arrays(h)
     best: int | None = None
     visited_c = np.zeros(m, dtype=bool)
     visited_v = np.zeros(n, dtype=bool)
@@ -236,11 +242,7 @@ def peg_construct(n: int, rate: float, w_c: int, rng: SeededRng) -> ParityCheckM
             placed.append(chosen)
         var_adj[v] = placed
 
-    edge_chk = var_adj.ravel()
-    edge_var = np.repeat(np.arange(n, dtype=np.int64), w_c)
-    matrix = sp.csr_matrix(
-        (np.ones(n * w_c, dtype=np.uint8), (edge_chk, edge_var)), shape=(m, n)
-    )
-    h = ParityCheckMatrix(matrix)
+    h = ParityCheckMatrix.from_edges(
+        (m, n), var_adj.ravel(), np.repeat(np.arange(n, dtype=np.int64), w_c))
     h._girth = girth
     return h

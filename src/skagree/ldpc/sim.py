@@ -77,15 +77,16 @@ class FrameSimulator:
     Per frame: all-zero word -> QPSK -> AWGN -> sum-product decode ->
     extract message positions. The decoded bits are the error pattern (see
     the module docstring), so a frame error is any decoded bit set at a
-    message position. The simulator holds no scrambler key: the caller
-    descrambles the erroneous frames' message bits, which is where an
-    eavesdropper would read the key material, and one residual error
-    spreads over about half of the key.
+    message position. It holds the decoder and the message positions
+    ``info_cols``, not H or a scrambler key: the caller descrambles the
+    erroneous frames' message bits, which is where an eavesdropper would
+    read the key material, and one residual error spreads over about half of
+    the key.
     """
 
     def __init__(self, h: ParityCheckMatrix):
-        self.h = h
-        self.encoder = h.encoder()
+        self.n = h.n
+        self.info_cols = h.encoder().info_cols
         self.decoder = SumProductDecoder(h, dtype=MESSAGE_DTYPE)
         self.n_symbols = (h.n + 1) // 2
 
@@ -102,11 +103,11 @@ class FrameSimulator:
         for row, frame in enumerate(frame_ids):
             rx[row] = rng.spawn(int(frame)).complex_normals(self.n_symbols)
         # one all-zero row broadcasts over the batch
-        zero = np.zeros((1, self.h.n), dtype=np.uint8)
+        zero = np.zeros((1, self.n), dtype=np.uint8)
         rx += qpsk_symbols(zero, snr_lambda)
-        llrs = llrs_from_rx(rx, snr_lambda, self.h.n)
+        llrs = llrs_from_rx(rx, snr_lambda, self.n)
         bits, _, _ = self.decoder.decode_batch(llrs, max_iter)
-        info = bits[:, self.encoder.info_cols]
+        info = bits[:, self.info_cols]
         wrong = info.any(axis=1)
         return wrong, info[wrong]
 
@@ -164,7 +165,7 @@ def fer_ber_sim(
     if max_frames < 1 or target_frame_errors < 1:
         raise ValueError("frame counts must be positive")
     sim = FrameSimulator(h)
-    k = sim.encoder.k
+    k = sim.info_cols.size
     lanes = max(1, workers)
     frames = fe_total = be_total = 0
     # each worker receives the simulator once, through the initializer; the

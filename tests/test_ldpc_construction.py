@@ -3,7 +3,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from skagree.channels import SeededRng
 from skagree.ldpc import (
@@ -14,7 +13,7 @@ from skagree.ldpc import (
     write_alist,
 )
 from skagree.ldpc import gf2
-from skagree.ldpc.peg import _bipartite_girth
+from skagree.ldpc.peg import _adjacency_arrays, _bipartite_girth
 
 
 class TestPegConstruct:
@@ -132,12 +131,8 @@ def reference_peg_construct(
                 links[prior, link_deg[prior]] = chosen
                 link_deg[prior] += 1
 
-    edge_chk = var_adj.ravel()
-    edge_var = np.repeat(np.arange(n, dtype=np.int64), w_c)
-    matrix = sp.csr_matrix(
-        (np.ones(n * w_c, dtype=np.uint8), (edge_chk, edge_var)), shape=(m, n)
-    )
-    h = ParityCheckMatrix(matrix)
+    h = ParityCheckMatrix.from_edges(
+        (m, n), var_adj.ravel(), np.repeat(np.arange(n, dtype=np.int64), w_c))
     h._girth = girth
     return h
 
@@ -163,22 +158,23 @@ def reference_peg_construct(
 ])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_peg_matches_reference_search(n, rate, w_c, seed):
-    """Same CSR and same recorded girth as the multi-source search."""
+    """Same Tanner edges and same recorded girth as the multi-source search."""
     h = peg_construct(n, rate, w_c, SeededRng(seed))
     ref = reference_peg_construct(n, rate, w_c, SeededRng(seed))
-    assert np.array_equal(h.to_sparse().indptr, ref.to_sparse().indptr)
-    assert np.array_equal(h.to_sparse().indices, ref.to_sparse().indices)
+    for got, want in zip(h.tanner_edges(), ref.tanner_edges()):
+        assert np.array_equal(got, want)
     assert h._girth == ref._girth
 
 
 def _csr_digest(h):
-    csr = h.to_sparse()
-    digest = hashlib.sha256(csr.indptr.astype(np.int64).tobytes())
-    digest.update(csr.indices.astype(np.int64).tobytes())
+    # the CSR form's row pointers and column indices, from the Tanner edges
+    indptr = np.concatenate([[0], np.cumsum(h.row_weights())])
+    digest = hashlib.sha256(indptr.astype(np.int64).tobytes())
+    digest.update(h.tanner_edges()[1].astype(np.int64).tobytes())
     return digest.hexdigest()
 
 
-# sha256 of the CSR indptr and indices (int64): construction must keep
+# sha256 of the CSR indptr and indices (int64) of H: construction must keep
 # these matrices for these seeds, however the search is carried out
 _GOLDEN = {
     (512, 0.25, 3, 1): "8f634d48d9cd58d206e9b282af25f699af2a3d9e94bc4430fe0872e610bc57aa",
@@ -216,10 +212,9 @@ def test_peg_golden_hash_n5000(desk_code):
 
 
 def _sorted_rows(h):
-    csr = h.to_sparse()
-    return sorted(
-        tuple(csr.indices[lo:hi]) for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:])
-    )
+    _, variables = h.tanner_edges()
+    ends = np.cumsum(h.row_weights())
+    return sorted(tuple(row) for row in np.split(variables, ends[:-1]))
 
 
 @pytest.mark.parametrize("n, rate, w_c, seeds", [
@@ -238,13 +233,13 @@ def test_peg_seeds_only_relabel_checks(n, rate, w_c, seeds):
 def test_peg_girth_matches_search(n, rate, w_c, seed):
     """The girth PEG records while it builds equals the exact search's."""
     h = peg_construct(n, rate, w_c, SeededRng(seed))
-    assert h.girth() == _bipartite_girth(h.to_sparse())
+    assert h.girth() == _bipartite_girth(h)
 
 
 def test_peg_girth_matches_search_n2000_n5000(desk_code):
     gap_code = peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0))
-    assert gap_code.girth() == _bipartite_girth(gap_code.to_sparse()) == 12
-    assert desk_code.girth() == _bipartite_girth(desk_code.to_sparse()) == 14
+    assert gap_code.girth() == _bipartite_girth(gap_code) == 12
+    assert desk_code.girth() == _bipartite_girth(desk_code) == 14
 
 
 def _brute_force_girth(dense):
@@ -278,9 +273,9 @@ def _brute_force_girth(dense):
 def test_girth_matches_brute_force():
     for seed in range(6):
         h = peg_construct(20, 0.5, 2, SeededRng(seed))
-        assert h.girth() == _bipartite_girth(h.to_sparse()) == _brute_force_girth(h.to_dense())
+        assert h.girth() == _bipartite_girth(h) == _brute_force_girth(h.to_dense())
     h = peg_construct(24, 0.25, 3, SeededRng(11))
-    assert h.girth() == _bipartite_girth(h.to_sparse()) == _brute_force_girth(h.to_dense())
+    assert h.girth() == _bipartite_girth(h) == _brute_force_girth(h.to_dense())
 
 
 def test_girth_none_for_forest():
@@ -308,6 +303,53 @@ def test_syndrome_matches_dense_product_past_byte_wrap():
         assert single.shape == (40,) and single.dtype == np.uint8
         assert np.array_equal(single, row)
     assert expected[0, 0] == 0 and expected[1, 0] == 1  # 300 and 301 ones
+
+
+def _random_matrix(seed, density, shape=(30, 50)):
+    """A random H with an empty check (row 3) and an empty column (17)."""
+    dense = (np.random.default_rng(seed).random(shape) < density).astype(np.uint8)
+    dense[3] = 0
+    dense[:, 17] = 0
+    return dense
+
+
+def _dense_adjacency(dense):
+    """Padded neighbor lists read off the dense rows and columns (fill -1)."""
+    def pad(lists):
+        width = max(1, max(map(len, lists)))
+        return np.array([list(row) + [-1] * (width - len(row)) for row in lists])
+    return (pad([np.flatnonzero(row) for row in dense]),
+            pad([np.flatnonzero(col) for col in dense.T]))
+
+
+@pytest.mark.parametrize("seed, density", [(seed, 0.15) for seed in range(6)] + [(6, 0.0)])
+def test_from_edges_matches_dense_construction(seed, density):
+    """Shuffled, duplicate-free edges build the matrix ``ParityCheckMatrix``
+    builds from the dense array, and every derived form agrees with the
+    dense array; the last case has no edge at all."""
+    dense = _random_matrix(seed, density)
+    ref = ParityCheckMatrix(dense)
+    checks, variables = np.nonzero(dense)
+    order = np.random.default_rng(100 + seed).permutation(checks.size)
+    h = ParityCheckMatrix.from_edges(dense.shape, checks[order], variables[order])
+    assert h.shape == ref.shape == dense.shape
+    for got, want in zip(h.tanner_edges(), ref.tanner_edges()):
+        assert got.dtype == want.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert np.array_equal(h.tanner_edges()[0], checks)  # check-major
+    assert np.array_equal(h.tanner_edges()[1], variables)
+    assert np.array_equal(h.row_weights(), dense.sum(axis=1))
+    assert np.array_equal(h.col_weights(), dense.sum(axis=0))
+    assert h.row_weights()[3] == 0 and h.col_weights()[17] == 0
+    assert np.array_equal(h.to_dense(), dense) and h.to_dense().dtype == np.uint8
+    for got, want in zip(_adjacency_arrays(h), _dense_adjacency(dense)):
+        assert np.array_equal(got, want)
+    words = np.random.default_rng(200 + seed).integers(0, 2, (7, dense.shape[1]),
+                                                       dtype=np.uint8)
+    expected = words.astype(np.int64) @ dense.T.astype(np.int64) % 2
+    assert np.array_equal(h.syndrome(words), expected)
+    assert np.array_equal(h.syndrome(words[2]), expected[2])
+    assert not h.syndrome(np.ones(dense.shape[1], dtype=np.uint8))[3]
 
 
 class TestEncoder:

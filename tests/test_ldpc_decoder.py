@@ -285,9 +285,9 @@ def test_first_iterations_match_log_domain_oracle(code512):
     assert seen == {0, 1, 2, 3}
 
 
-def test_one_syndrome_call_per_batch(code512, monkeypatch):
-    """The channel decisions of the whole batch are checked in one call;
-    convergence after an iteration is read off the decoder's own gather."""
+def test_decode_batch_calls_no_syndrome(code512, monkeypatch):
+    """The channel decisions and every iteration's are checked on the
+    decoder's own slot planes; ``ParityCheckMatrix.syndrome`` is not called."""
     _, llrs = noisy_llrs(code512, -1.5, 11, SeededRng(14))
     decoder = SumProductDecoder(code512)
     decoder._window_frames = 4
@@ -300,8 +300,34 @@ def test_one_syndrome_call_per_batch(code512, monkeypatch):
 
     monkeypatch.setattr(ParityCheckMatrix, "syndrome", spy)
     _, conv, iters = decoder.decode_batch(llrs, max_iter=40)
-    assert calls == [11]
+    assert calls == []
     assert conv.any() and np.all(iters[conv] > 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("window_frames", [1, 3, None])
+def test_channel_check_matches_syndrome(window_frames, dtype, code512):
+    """The channel decisions' check on the slot planes, a window of frames
+    at a time, against ``h.syndrome``: codewords, codewords with one or two
+    flipped bits, a codeword with a zero LLR and noisy frames, over more
+    frames than the default window holds."""
+    decoder = SumProductDecoder(code512, dtype=dtype)
+    frames = 2 * decoder._window_frames + 5
+    if window_frames is not None:
+        decoder._window_frames = window_frames
+    words, llrs = noisy_llrs(code512, -1.5, frames, SeededRng(24))
+    clean = np.arange(0, frames, 3)
+    llrs[clean] = 4.0 * (1.0 - 2.0 * words[clean])
+    llrs[clean[1::4], 10] *= -1.0
+    llrs[clean[2::4, None], [20, 300]] *= -1.0
+    llrs[clean[3::4], 7] = 0.0
+    bits, conv, iters = decoder.decode_batch(llrs, max_iter=0)
+    expected = ~code512.syndrome(llrs < 0).any(axis=1) & np.all(llrs != 0.0, axis=1)
+    assert np.array_equal(conv, expected)
+    assert np.array_equal(conv[clean], np.arange(clean.size) % 4 == 0)
+    assert not conv[np.setdiff1d(np.arange(frames), clean)].any()
+    assert np.array_equal(bits, llrs < 0)
+    assert not iters.any()
 
 
 def _decode_digest(bits, conv, iters) -> str:

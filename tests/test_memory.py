@@ -69,13 +69,13 @@ def _dense_run_frames(sim, frame_ids, snr_lambda, max_iter, rng):
     noise = np.empty((len(frame_ids), sim.n_symbols), dtype=complex)
     for row, frame in enumerate(frame_ids):
         noise[row] = rng.spawn(int(frame)).complex_normals(sim.n_symbols)
-    rx = qpsk_symbols(np.zeros((1, sim.h.n), dtype=np.uint8), snr_lambda) + noise
+    rx = qpsk_symbols(np.zeros((1, sim.n), dtype=np.uint8), snr_lambda) + noise
     gain = 4.0 * np.sqrt(snr_lambda / 2.0)
     llrs = np.empty((rx.shape[0], 2 * rx.shape[1]))
     llrs[:, 0::2] = gain * rx.real
     llrs[:, 1::2] = gain * rx.imag
-    bits, _, _ = sim.decoder.decode_batch(llrs[:, :sim.h.n], max_iter)
-    info = bits[:, sim.encoder.info_cols]
+    bits, _, _ = sim.decoder.decode_batch(llrs[:, :sim.n], max_iter)
+    info = bits[:, sim.info_cols]
     wrong = info.any(axis=1)
     return wrong, info[wrong]
 
@@ -90,7 +90,7 @@ def test_run_frames_builds_the_batch_in_one_buffer():
     (ref_wrong, ref_info), ref_peak = _traced_peak(lambda: _dense_run_frames(sim, *args))
     assert 0 < wrong.sum() < frames
     assert np.array_equal(wrong, ref_wrong) and np.array_equal(info, ref_info)
-    assert peak + frames * sim.h.n * 8 <= ref_peak
+    assert peak + frames * sim.n * 8 <= ref_peak
 
 
 # a spectrum of 1024 legitimate draws at M=256, complex128

@@ -48,7 +48,8 @@ def test_all_zero_frames_match_the_codeword_pipeline(small_code, monkeypatch, sn
     """
     snr, frames, max_iter, rng = 10 ** (snr_db / 10), 64, 100, SeededRng(21)
     sim = FrameSimulator(small_code)
-    scrambler = FrameScrambler(sim.encoder.k, 5)
+    encoder = small_code.encoder()
+    scrambler = FrameScrambler(encoder.k, 5)
     decoded = []
     inner = sim.decoder.decode_batch
 
@@ -62,15 +63,15 @@ def test_all_zero_frames_match_the_codeword_pipeline(small_code, monkeypatch, sn
     (y0,) = decoded
     assert 0 < frame_errors.sum() < frames
 
-    messages = SeededRng(31).bits((frames, sim.encoder.k))
-    words = sim.encoder.encode_batch(scrambler.apply(messages))
+    messages = SeededRng(31).bits((frames, encoder.k))
+    words = encoder.encode_batch(scrambler.apply(messages))
     signs = 1.0 - 2.0 * words
     noise = _frame_noise(rng, frames, sim.n_symbols)
     noise = signs[:, 0::2] * noise.real + 1j * signs[:, 1::2] * noise.imag
     y_c = llrs_from_rx(qpsk_symbols(words, snr) + noise, snr, small_code.n)
     assert np.array_equal(y_c, signs * y0)
     bits, _, _ = sim.decoder.decode_batch(y_c, max_iter)
-    recovered = scrambler.invert_bits(bits[:, sim.encoder.info_cols])
+    recovered = scrambler.invert_bits(bits[:, encoder.info_cols])
     ref_bit_errors = np.sum(recovered != messages, axis=1)
     assert np.array_equal(frame_errors, ref_bit_errors > 0)
     bit_errors = np.count_nonzero(scrambler.invert_bits(wrong_info), axis=1)
@@ -128,8 +129,9 @@ def test_run_frames_counts_errors_behind_the_descrambler(small_code, monkeypatch
     """Decoded bits are the error pattern: parity errors are no frame error,
     and one wrong message bit j costs the weight of column j of S^-1."""
     sim = FrameSimulator(small_code)
-    info, parity = sim.encoder.info_cols, sim.encoder.pivot_cols
-    flipped = [0, 7, sim.encoder.k - 1]
+    encoder = small_code.encoder()
+    info, parity = encoder.info_cols, encoder.pivot_cols
+    flipped = [0, 7, encoder.k - 1]
     patterns = np.zeros((2 + len(flipped), small_code.n), dtype=np.uint8)
     patterns[1, parity[::3]] = 1
     for row, j in enumerate(flipped, start=2):
@@ -144,11 +146,11 @@ def test_run_frames_counts_errors_behind_the_descrambler(small_code, monkeypatch
     frame_errors, wrong_info = sim.run_frames(
         np.arange(len(patterns)), 1.0, 10, SeededRng(23))
     assert frame_errors.tolist() == [False, False] + [True] * len(flipped)
-    assert np.array_equal(wrong_info, np.eye(sim.encoder.k, dtype=np.uint8)[flipped])
+    assert np.array_equal(wrong_info, np.eye(encoder.k, dtype=np.uint8)[flipped])
 
     descrambled = _spy_invert_bits(monkeypatch)
     est = fer_ber_sim(small_code, 1.0, len(patterns), len(patterns), 10, SeededRng(23))
-    weights = FrameScrambler(sim.encoder.k, 23).inverse[:, flipped].sum(axis=0)
+    weights = FrameScrambler(encoder.k, 23).inverse[:, flipped].sum(axis=0)
     assert np.all(weights > 0)
     assert np.count_nonzero(np.concatenate(descrambled), axis=1).tolist() == weights.tolist()
     assert (est.frames, est.frame_errors) == (len(patterns), len(flipped))
@@ -321,11 +323,13 @@ def test_pool_workers_draw_no_key(small_code, monkeypatch):
 
 
 def test_pickled_simulator_is_smaller_than_the_unpacked_parity_map():
-    """The pool initializer pickles the simulator to each worker; the
-    encoder it holds keeps its parity map packed, so the whole simulator
-    pickles to less than the rank x k bytes of the unpacked map alone."""
-    sim = FrameSimulator(peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0)))
-    assert len(pickle.dumps(sim)) < sim.encoder.rank * sim.encoder.k
+    """The pool initializer pickles the simulator to each worker; it holds
+    the decoder and the message positions, not H or the encoder, so it
+    pickles to less than the rank x k bytes of the unpacked parity map."""
+    code = peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0))
+    payload = pickle.dumps(FrameSimulator(code))
+    assert b"ParityCheckMatrix" not in payload and b"Gf2Encoder" not in payload
+    assert len(payload) < code.encoder().rank * code.encoder().k
 
 
 def test_pooled_path_under_spawn_matches_serial(small_code):
