@@ -94,81 +94,110 @@ class SumProductDecoder:
     def decode_batch(self, llrs, max_iter: int = 100):
         """Decode (batch, n) LLR rows; returns (bits, converged, iterations).
 
-        Frames whose channel decisions already satisfy every check (read off
-        the slot planes, ``_window_frames`` frames at a time) retire with 0
-        iterations. The rest are decoded in a window of ``_window_frames``
-        columns, each holding one frame and the number of iterations it has
-        run. Each step starts by gathering the posteriors onto the slot planes,
-        which also gives every check's parity for the last iteration's hard
-        decisions, so a column retires there, converged or after ``max_iter``
-        iterations, and the next queued frame takes its column in place. Once
-        the queue is empty the window narrows as its frames retire.
+        ``llrs`` is an array, or a frame source: a sized object whose
+        ``[ids]`` gives those frames' (ids.size, n) float64 LLR rows. Frames
+        are read in order, a group of free columns at a time, and each
+        frame once. A loaded group is clipped in float64, and its frames
+        whose channel decisions already satisfy every check (read off the
+        slot planes) retire with 0 iterations. The rest are decoded in a
+        window of ``_window_frames`` columns, each holding one frame and the
+        number of iterations it has run. Each step ends by gathering the
+        posteriors onto the slot planes, which also gives every check's
+        parity for the hard decisions, so a column retires there, converged
+        or after ``max_iter`` iterations, and the next frames read take the
+        free columns in place. Once every frame is read the window narrows
+        as its frames retire.
         """
-        llrs = np.asarray(llrs, dtype=float)
-        if llrs.ndim != 2 or llrs.shape[1] != self.n:
-            raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
-        # clipped in float64; the messages take ``dtype`` from here on
-        llrs = np.clip(llrs, -_CLAMP, _CLAMP)
+        if isinstance(llrs, (np.ndarray, list, tuple)):
+            llrs = np.asarray(llrs)
+            if llrs.ndim != 2 or llrs.shape[1] != self.n:
+                raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
         dtype = self.dtype
-        bits = (llrs < 0).astype(np.uint8)
-        converged = np.all(llrs != 0.0, axis=1)
-        step = self._window_frames
-        for lo in range(0, len(bits), step):
-            converged[lo:lo + step] &= self._checks_satisfied(
-                np.take(bits[lo:lo + step].T, self._var_of_pos, axis=0))
-        iterations = np.where(converged, 0, max_iter)
-        queue = np.flatnonzero(~converged)
-        if queue.size == 0 or max_iter <= 0:  # no iteration to run
+        frames = len(llrs)
+        bits = np.empty((frames, self.n), dtype=np.uint8)
+        converged = np.zeros(frames, dtype=bool)
+        iterations = np.zeros(frames, dtype=np.int64)
+        if frames == 0:
             return bits, converged, iterations
 
-        width = min(self._window_frames, queue.size)
-        frame, queue = queue[:width], queue[width:]  # the frame in each column
+        width = min(self._window_frames, frames)
+        frame = np.zeros(width, dtype=np.int64)  # the frame in each column
         count = np.zeros(width, dtype=np.int64)  # iterations it has run
-        half_llr = np.ascontiguousarray(0.5 * llrs[frame].T, dtype=dtype)
-        post = half_llr.copy()  # half posterior LLRs
+        half_llr = np.empty((self.n, width), dtype=dtype)
+        post = np.empty((self.n, width), dtype=dtype)  # half posterior LLRs
         c = np.zeros((self.n_edges + 1, width), dtype=dtype)
         t = np.empty((self.n_edges, width), dtype=dtype)
         g = np.empty((self._var_gather.size, width), dtype=dtype)
         neg = np.empty(t.shape, dtype=bool)
+        free = np.arange(width)  # columns without a frame, in order
+        loaded = 0  # frames read so far
         while True:
-            np.take(post, self._var_of_pos, axis=0, out=t, mode="clip")
-            done = count == max_iter
-            if count.any():
-                ok = self._checks_satisfied(np.less(t, 0.0, out=neg)) & (count > 0)
-                if ok.any():
-                    ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
-                    converged[frame[ok]] = True
-                    iterations[frame[ok]] = count[ok]
-                    done |= ok
-            if done.any():
-                cols = np.flatnonzero(done)
-                bits[frame[cols]] = post[:, cols].T < 0
-                fill, free = cols[:queue.size], cols[queue.size:]
-                if fill.size:
-                    frame[fill] = queue[:fill.size]
-                    queue = queue[fill.size:]
-                    count[fill] = 0
-                    half = 0.5 * llrs[frame[fill]].T  # cast on assignment
-                    half_llr[:, fill] = half
-                    c[:, fill] = 0.0
-                    # ``post`` is left: this step writes it before reading it
-                    t[:, fill] = half[self._var_of_pos]
-                if free.size:
-                    done[fill] = False
-                    keep = np.flatnonzero(~done)
-                    if keep.size == 0:
-                        return bits, converged, iterations
-                    frame, count = frame[keep], count[keep]
-                    # C-ordered copies of the kept columns, so each plane
-                    # stays one block (``a[:, keep]`` would be F-ordered)
-                    half_llr, post, c, t = (
-                        np.take(a, keep, axis=1) for a in (half_llr, post, c, t)
-                    )
-                    g = np.empty((g.shape[0], keep.size), dtype=dtype)
-                    neg = np.empty(t.shape, dtype=bool)
+            while free.size and loaded < frames:
+                lo, loaded = loaded, min(loaded + free.size, frames)
+                rows = np.asarray(llrs[np.arange(lo, loaded)], dtype=float)
+                if rows.shape != (loaded - lo, self.n):
+                    raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
+                bits[lo:loaded] = rows < 0
+                sure = np.all(rows != 0.0, axis=1)
+                # clipped in float64, one column per frame; the messages take
+                # ``dtype`` from here on. The block lives in the work space
+                # ``g`` (at least two (n, width) planes, which only
+                # ``_posteriors`` writes and reads), so a group takes no
+                # memory of its own but the rows it is read from.
+                block = g.reshape(-1).view(np.uint8)[:8 * rows.size]
+                block = block.view(np.float64).reshape(self.n, len(rows))
+                np.clip(rows.T, -_CLAMP, _CLAMP, out=block)
+                rows = None
+                sure &= self._checks_satisfied(np.take(block < 0.0, self._var_of_pos, axis=0))
+                converged[lo:loaded] = sure
+                if max_iter <= 0:  # no iteration to run
+                    iterations[lo:loaded] = np.where(sure, 0, max_iter)
+                    continue
+                rest = np.flatnonzero(~sure)
+                cols, free = free[:rest.size], free[rest.size:]
+                frame[cols] = lo + rest
+                count[cols] = 0
+                block *= 0.5
+                # cast on assignment
+                half_llr[:, cols] = block if rest.size == sure.size else block[:, rest]
+                block = None
+                c[:, cols] = 0.0
+                # ``post`` is left: this step writes it before reading it;
+                # ``t`` is gathered a column at a time, so no (edges, group)
+                # temporary is made
+                for col in cols:
+                    t[:, col] = half_llr[self._var_of_pos, col]
+            if free.size:  # every frame is read: narrow to the busy columns
+                busy = np.ones(frame.size, dtype=bool)
+                busy[free] = False
+                keep = np.flatnonzero(busy)
+                if keep.size == 0:
+                    return bits, converged, iterations
+                frame, count, free = frame[keep], count[keep], free[:0]
+                # C-ordered copies of the kept columns, so each plane stays
+                # one block (``a[:, keep]`` would be F-ordered), made one at
+                # a time so each replaces its array before the next is made
+                half_llr = np.take(half_llr, keep, axis=1)
+                post = np.take(post, keep, axis=1)
+                c = np.take(c, keep, axis=1)
+                t = np.take(t, keep, axis=1)
+                g = neg = None  # work space, made anew
+                g = np.empty((self._var_gather.size, keep.size), dtype=dtype)
+                neg = np.empty(t.shape, dtype=bool)
             self._check_update(t, c)
             self._posteriors(half_llr, c, g, out=post)
             count += 1
+            np.take(post, self._var_of_pos, axis=0, out=t, mode="clip")
+            done = count == max_iter
+            ok = self._checks_satisfied(np.less(t, 0.0, out=neg))
+            if ok.any():
+                ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
+                converged[frame[ok]] = True
+                done |= ok
+            if done.any():
+                free = np.flatnonzero(done)
+                bits[frame[free]] = post[:, free].T < 0
+                iterations[frame[free]] = count[free]
 
     def _checks_satisfied(self, neg: np.ndarray) -> np.ndarray:
         """Per column, whether the sign planes ``neg`` satisfy every check.

@@ -125,29 +125,33 @@ def _clear_block(words: np.ndarray, octet: np.ndarray, top: int, pos: list[int])
     words[top:top + nb] = sums[masks]
 
 
-def invert(bits: np.ndarray) -> np.ndarray | None:
-    """Inverse of a square GF(2) matrix as a (k, k) uint8 array, or None if
-    singular.
+def invert(words: np.ndarray) -> np.ndarray | None:
+    """Inverse of a square GF(2) matrix, both as :func:`pack_rows` rows, or
+    None if singular.
 
-    The augmented matrix [A | I] is written straight into packed words (A's
-    rows packed, then bit k + i set in row i) and reduced in place; the
-    inverse half is unpacked into an array of its own, so the result keeps
-    no k x 2k buffer alive.
+    The augmented matrix [A | I] is A's words followed by bit k + i set in
+    row i, reduced in place; the inverse's words are shifted out of its
+    right half into an array of their own, so the result keeps no k x 2k
+    buffer alive.
     """
-    a = np.asarray(bits, dtype=np.uint8)
-    k = a.shape[0]
-    if a.shape != (k, k):
+    k = words.shape[0]
+    width = (k + 63) // 64
+    if words.shape != (k, width):
         raise ValueError("matrix must be square")
-    words = np.zeros((k, (2 * k + 63) // 64), dtype=np.uint64)
-    octets = words.view(np.uint8)
-    octets[:, :(k + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
-    eye = k + np.arange(k)
-    octets[np.arange(k), eye >> 3] |= (1 << (eye & 7)).astype(np.uint8)
-    if rref(words, k) != list(range(k)):
+    aug = np.zeros((k, (2 * k + 63) // 64), dtype=np.uint64)
+    aug[:, :width] = words
+    eye = k + np.arange(k, dtype=np.uint64)
+    aug[np.arange(k), eye >> np.uint64(6)] |= np.uint64(1) << (eye & np.uint64(63))
+    if rref(aug, k) != list(range(k)):
         return None
-    # the inverse's bits k .. 2k-1 lie in bytes k // 8 onward
-    half = np.unpackbits(octets[:, k >> 3:], axis=1, bitorder="little")
-    return half[:, k & 7:(k & 7) + k].copy()
+    # bits k .. 2k-1 start at bit k % 64 of word k // 64; each word of the
+    # inverse takes its top bits from the next word, where there is one
+    q, s = divmod(k, 64)
+    inverse = aug[:, q:q + width] >> np.uint64(s)
+    if s:
+        top = aug[:, q + 1:q + width + 1]
+        inverse[:, :top.shape[1]] |= top << np.uint64(64 - s)
+    return inverse
 
 
 def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,12 +12,19 @@ from ..channels import SeededRng
 from . import gf2
 
 _MAX_DRAWS = 64
-# rows of the key that one product step casts to float32
+# rows of the key that one product step unpacks and casts to float32
 _ROW_BLOCK = 128
+# bits of a candidate key drawn at a time; ``SeededRng.bits`` takes one raw
+# 64-bit word per bit, so a block's words take 128 KiB
+_DRAW_BITS = 1 << 14
 
 
 class FrameScrambler:
-    """Invertible random GF(2) map over fixed-length frames."""
+    """Invertible random GF(2) map over fixed-length frames.
+
+    The key and its inverse are held as :func:`gf2.pack_rows` rows, k * k / 8
+    bytes each; ``matrix`` and ``inverse`` unpack them to bytes on access.
+    """
 
     def __init__(self, length: int, seed: int):
         if length < 1:
@@ -25,32 +32,51 @@ class FrameScrambler:
         self.length = length
         self.seed = seed
         rng = SeededRng(seed)
+        rows = max(1, _DRAW_BITS // length)
+        # packed rows whose padding bits stay zero
+        candidate = np.zeros((length, (length + 63) // 64), dtype=np.uint64)
+        octets = candidate.view(np.uint8)[:, :(length + 7) // 8]
         for _ in range(_MAX_DRAWS):
-            candidate = rng.bits((length, length))
+            # blocks drawn in sequence take the bits one (length, length) draw would
+            for r in range(0, length, rows):
+                block = rng.bits((min(rows, length - r), length))
+                octets[r:r + rows] = np.packbits(block, axis=1, bitorder="little")
             inverse = gf2.invert(candidate)
             if inverse is not None:
                 break
         else:  # pragma: no cover - probability ~0.71^64
             raise RuntimeError("failed to draw an invertible scrambling matrix")
-        self.matrix = candidate
-        self.inverse = inverse
+        self._matrix = candidate
+        self._inverse = inverse
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The key as a (length, length) 0/1 uint8 array."""
+        return gf2.unpack_rows(self._matrix, self.length)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The key's inverse as a (length, length) 0/1 uint8 array."""
+        return gf2.unpack_rows(self._inverse, self.length)
 
     def apply(self, bits) -> np.ndarray:
         """Scramble (batch, length) frames."""
-        return self._mul(bits, self.matrix)
+        return self._mul(bits, self._matrix)
 
     def invert_bits(self, bits) -> np.ndarray:
         """Descramble (batch, length) frames."""
-        return self._mul(bits, self.inverse)
+        return self._mul(bits, self._inverse)
 
-    def _mul(self, bits, mat) -> np.ndarray:
-        """(bits @ mat.T) mod 2, a block of ``mat``'s rows at a time, so that
-        only that block is ever cast to float."""
+    def _mul(self, bits, words) -> np.ndarray:
+        """(bits @ mat.T) mod 2 for the packed rows ``words`` of ``mat``, a
+        block of rows at a time, so that only that block is ever unpacked
+        and cast to float."""
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.length:
             raise ValueError(f"expected (batch, {self.length}) frames")
         out = np.empty(arr.shape, dtype=np.uint8)
         frames = arr.astype(np.float32)
         for j in range(0, self.length, _ROW_BLOCK):
-            out[:, j:j + _ROW_BLOCK] = gf2.matmul_mod2(frames, mat[j:j + _ROW_BLOCK].T)
+            block = gf2.unpack_rows(words[j:j + _ROW_BLOCK], self.length)
+            out[:, j:j + _ROW_BLOCK] = gf2.matmul_mod2(frames, block.T)
         return out

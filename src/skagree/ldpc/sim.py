@@ -95,21 +95,49 @@ class FrameSimulator:
         """Per-frame error flags for the given frame indices, and the decoded
         message bits of the erroneous frames, in frame order.
 
-        The batch's noise, received symbols and LLRs share one buffer: each
-        frame's noise is drawn into its row, the all-zero word's symbols are
-        added in place, and ``llrs_from_rx`` scales it in place.
+        The decoder draws the frames as its columns free (see
+        :class:`_FrameLlrs`), so no array of the whole batch's LLRs exists.
         """
-        rx = np.empty((len(frame_ids), self.n_symbols), dtype=complex)
-        for row, frame in enumerate(frame_ids):
-            rx[row] = rng.spawn(int(frame)).complex_normals(self.n_symbols)
-        # one all-zero row broadcasts over the batch
-        zero = np.zeros((1, self.n), dtype=np.uint8)
-        rx += qpsk_symbols(zero, snr_lambda)
-        llrs = llrs_from_rx(rx, snr_lambda, self.n)
+        llrs = _FrameLlrs(frame_ids, snr_lambda, self.n, rng)
         bits, _, _ = self.decoder.decode_batch(llrs, max_iter)
         info = bits[:, self.info_cols]
         wrong = info.any(axis=1)
         return wrong, info[wrong]
+
+
+class _FrameLlrs:
+    """The channel LLRs of the all-zero word's frames ``frame_ids``, drawn
+    on demand: ``[rows]`` draws those frames' noise, frame i's from
+    ``rng.spawn(i)``.
+
+    A group's noise, received symbols and LLRs share one buffer: each
+    frame's noise is drawn into its row, the all-zero word's symbols are
+    added in place, and ``llrs_from_rx`` scales it in place.
+    """
+
+    def __init__(self, frame_ids, snr_lambda: float, n: int, rng: SeededRng):
+        self.frame_ids = np.asarray(frame_ids)
+        self.snr_lambda = snr_lambda
+        self.n = n
+        self.rng = rng
+        # one all-zero row broadcasts over a group
+        self.symbols = qpsk_symbols(np.zeros((1, n), dtype=np.uint8), snr_lambda)
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.frame_ids), self.n
+
+    def __getitem__(self, rows) -> np.ndarray:
+        frames = self.frame_ids[rows]
+        rx = np.empty((np.size(frames), self.symbols.shape[1]), dtype=complex)
+        for row, frame in enumerate(np.ravel(frames)):
+            rx[row] = self.rng.spawn(int(frame)).complex_normals(rx.shape[1])
+        rx += self.symbols
+        # an integer index gives one row, as an array's does
+        return llrs_from_rx(rx, self.snr_lambda, self.n).reshape(np.shape(frames) + (self.n,))
 
 
 # The last key drawn. A new (k, seed) releases it before its own is drawn,

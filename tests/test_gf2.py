@@ -96,7 +96,11 @@ def _square(rng, k, singular):
 def test_invert_matches_reference(k):
     rng = np.random.default_rng(k)
     a = _square(rng, k, singular=False)
-    inv = invert(a)
+    packed = invert(pack_rows(a))
+    assert packed.shape == (k, (k + 63) // 64)
+    inv = unpack_rows(packed, k)
+    # the padding bits past column k are zero, as pack_rows leaves them
+    assert np.array_equal(packed, pack_rows(inv))
     augmented = np.concatenate([a, np.eye(k, dtype=np.uint8)], axis=1)
     assert np.array_equal(inv, reference_rref(augmented, k)[0][:, k:])
     assert np.array_equal(a.astype(np.int64) @ inv % 2, np.eye(k, dtype=np.int64))
@@ -105,7 +109,7 @@ def test_invert_matches_reference(k):
 @pytest.mark.parametrize("k", [2, 65, 130])
 def test_invert_singular(k):
     a = _square(np.random.default_rng(100 + k), k, singular=True)
-    assert invert(a) is None
+    assert invert(pack_rows(a)) is None
     # the singular augmented matrix still reduces as the reference does
     augmented = np.concatenate([a, np.eye(k, dtype=np.uint8)], axis=1)
     expected, expected_pivots = reference_rref(augmented, k)

@@ -411,6 +411,76 @@ def test_results_do_not_depend_on_slice_size(window_frames, code512):
     assert np.array_equal(iters, ref_iters)
 
 
+class _CountingSource:
+    """A frame source over LLR rows that records every read: its frames,
+    and how many check updates ``updates`` held when it was made."""
+
+    def __init__(self, llrs, updates):
+        self.llrs = llrs
+        self.updates = updates
+        self.reads = []
+        self.read_at = []
+
+    def __len__(self):
+        return len(self.llrs)
+
+    def __getitem__(self, ids):
+        self.reads.append(np.array(ids))
+        self.read_at.append(len(self.updates))
+        return self.llrs[ids]
+
+
+@pytest.mark.parametrize("max_iter", [20, 0, -1])
+@pytest.mark.parametrize("window_frames", [1, 3, None])
+def test_frame_source_matches_its_array(window_frames, max_iter, code512, monkeypatch):
+    """A frame source decodes as its materialized array does, and is read
+    once per frame, in order, never for more rows than there are free
+    columns.
+
+    Frames that converge at the channel, frames with zero LLRs and frames
+    that do not converge within ``max_iter`` are interleaved. A frame read
+    after s check updates and run for i iterations holds a column until
+    the update s + i, so the rows read at update S are at most the window
+    less the frames read before with s + i > S.
+    """
+    decoder = SumProductDecoder(code512)
+    frames = 2 * decoder._window_frames + 3
+    if window_frames is not None:
+        decoder._window_frames = window_frames
+    words, llrs = noisy_llrs(code512, -1.5, frames, SeededRng(17))
+    llrs[::5] = 20.0 * (1.0 - 2.0 * words[::5])  # noiseless
+    llrs[1::10] = 0.0
+    llrs[2::10, :40] = 0.0
+    updates = []
+    check_update = decoder._check_update
+
+    def counting_update(t, c):
+        updates.append(t.shape[1])
+        check_update(t, c)
+
+    monkeypatch.setattr(decoder, "_check_update", counting_update)
+    source = _CountingSource(llrs, updates)
+    bits, conv, iters = decoder.decode_batch(source, max_iter)
+    ref_bits, ref_conv, ref_iters = SumProductDecoder(code512).decode_batch(llrs, max_iter)
+    assert np.array_equal(bits, ref_bits)
+    assert np.array_equal(conv, ref_conv)
+    assert np.array_equal(iters, ref_iters)
+    assert np.all(conv[::5] & (iters[::5] == 0)) and not conv[1::10].any()
+    if max_iter > 0:
+        assert np.any(conv & (iters > 1)) and np.any(~conv)
+    else:
+        assert updates == []
+
+    reads = source.reads
+    assert np.array_equal(np.concatenate(reads), np.arange(frames))
+    width = min(decoder._window_frames, frames)
+    placed = ~(conv & (iters == 0)) & (max_iter > 0)
+    read_at = np.repeat(source.read_at, [ids.size for ids in reads])
+    for at, ids in zip(source.read_at, reads):
+        held = placed[:ids[0]] & (read_at[:ids[0]] + iters[:ids[0]] > at)
+        assert 0 < ids.size <= width - held.sum()
+
+
 @pytest.mark.parametrize("which", ["degree-1-checks"])
 def test_arctanh_ceiling_clip_where_it_can_bind(which, code512):
     """The ceiling clip keeps arctanh finite where a product reaches 1.0.

@@ -19,16 +19,24 @@ from skagree.ldpc.sim import FrameSimulator
 from skagree.ofdm import OfdmConfig
 
 
-def _traced_peak(fn):
-    """fn's result and the peak bytes allocated above what was live before."""
+def _traced(fn):
+    """fn's result, and the peak and the held bytes allocated above what
+    was live before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - base, held - base
     finally:
         tracemalloc.stop()
+
+
+def _traced_peak(fn):
+    """fn's result and the peak bytes allocated above what was live before."""
+    result, peak, _ = _traced(fn)
+    return result, peak
 
 
 def test_rref_clear_stays_below_half_the_packed_rows():
@@ -54,13 +62,16 @@ def test_derive_encoder_stays_below_one_dense_copy_of_h():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_scrambler_draw_stays_below_six_bytes_per_entry(seed):
-    """A float64 draw alone takes 8 bytes per entry; the key is two k x k
-    byte matrices, each owning its buffer."""
+def test_scrambler_draw_stays_below_one_byte_per_entry(seed):
+    """A float64 draw alone takes 8 bytes per entry, and a byte per entry
+    is one unpacked copy of the key; the key is drawn a few rows at a time
+    into packed rows, reduced next to its identity-augmented copy, and held
+    as two packed k x k matrices, an eighth of a byte per entry each."""
     k = 500
-    scr, peak = _traced_peak(lambda: FrameScrambler(k, seed))
-    assert peak < 6 * k * k
-    assert scr.matrix.flags.owndata and scr.inverse.flags.owndata
+    scr, peak, held = _traced(lambda: FrameScrambler(k, seed))
+    assert peak < k * k
+    assert held < k * k / 2
+    assert np.array_equal(gf2.pack_rows(scr.matrix), scr._matrix)
 
 
 def _dense_run_frames(sim, frame_ids, snr_lambda, max_iter, rng):
@@ -91,6 +102,25 @@ def test_run_frames_builds_the_batch_in_one_buffer():
     assert 0 < wrong.sum() < frames
     assert np.array_equal(wrong, ref_wrong) and np.array_equal(info, ref_info)
     assert peak + frames * sim.n * 8 <= ref_peak
+
+
+def test_run_frames_peak_does_not_grow_with_the_batch():
+    """Frames are drawn as the decoder's columns free, so 256 frames peak
+    less than one window's buffers above 16 frames; a batch of LLRs made
+    up front took 8 bytes per frame and bit, twice over."""
+    sim = FrameSimulator(peg_construct(1024, 0.25, 3, SeededRng(77)))
+    dec = sim.decoder
+    # the window's message arrays (c with its zero row, t, g, half_llr and
+    # post) and its sign planes
+    per_frame = (dec.dtype.itemsize * (2 * dec.n_edges + 1 + dec._var_gather.size + 2 * dec.n)
+                 + dec.n_edges)
+    window = dec._window_frames * per_frame
+    peaks = {}
+    for frames in (16, 256):
+        args = (np.arange(frames), 10 ** (-0.2), 20, SeededRng(5))
+        (wrong, _), peaks[frames] = _traced_peak(lambda: sim.run_frames(*args))
+        assert 0 < wrong.sum() < frames
+    assert peaks[256] - peaks[16] < window
 
 
 # a spectrum of 1024 legitimate draws at M=256, complex128
