@@ -48,9 +48,9 @@ class SumProductDecoder:
     this equals the full-message recursion. Message magnitudes are clamped
     to ``_CLAMP``. Messages are held in ``dtype``; channel LLRs are clipped
     to ``_CLAMP`` in float64 first, so the decisions and convergence flags
-    of frames that converge at the channel do not depend on it. Frames are decoded in a window of a few columns at a
-    time; frames are independent, so which column holds a frame, and next
-    to which others, changes no result.
+    of frames that converge at the channel do not depend on it. Frames are
+    decoded a few columns at a time, in a window; as frames are independent,
+    which column holds a frame, and next to which others, changes no result.
 
     A frame is converged once its hard decisions satisfy every check and
     every posterior is nonzero; a bit with an exactly-zero posterior is

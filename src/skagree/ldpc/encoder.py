@@ -24,10 +24,10 @@ class Gf2Encoder:
     matrix is rank deficient, k exceeds the design dimension and
     ``true_rate`` reports the actual k/n.
 
-    ``_phi`` is the (rank, k) parity map packed in the :func:`gf2.pack_rows`
-    layout, an eighth of its unpacked size; row i gives the message bits
-    that sum to parity bit ``pivot_cols[i]``. ``encode_batch`` unpacks it
-    per call.
+    ``_phi`` is the (rank, k) parity map as :func:`gf2.pack_rows` rows, an
+    eighth of its unpacked size; row i gives the message bits that sum to
+    parity bit ``pivot_cols[i]``. ``encode_batch`` multiplies by it with
+    :func:`gf2.mul`, which unpacks a block of its rows at a time.
     """
 
     n: int
@@ -47,8 +47,7 @@ class Gf2Encoder:
             raise ValueError(f"messages must have shape (batch, {self.k})")
         words = np.zeros((msgs.shape[0], self.n), dtype=np.uint8)
         words[:, self.info_cols] = msgs
-        phi = gf2.unpack_rows(self._phi, self.k)
-        words[:, self.pivot_cols] = gf2.matmul_mod2(msgs, phi.T)
+        words[:, self.pivot_cols] = gf2.mul(msgs, self._phi, self.k)
         return words
 
 
@@ -62,16 +61,14 @@ def derive_encoder(h: ParityCheckMatrix) -> Gf2Encoder:
     bytes, and the packed parity map, plus blocks of rows.
     """
     m, n = h.shape
-    words = np.zeros((m, (n + 63) // 64), dtype=np.uint64)
-    rows, cols = h.tanner_edges()
-    np.bitwise_or.at(words.view(np.uint8), (rows, cols >> 3),
-                     (1 << (cols & 7)).astype(np.uint8))
+    words = gf2.zeros(m, n)
+    gf2.set_ones(words, *h.tanner_edges())
     pivots = gf2.rref(words, n)
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
-    info_cols = np.setdiff1d(np.arange(n, dtype=np.int64), pivot_cols)
+    info_cols = np.delete(np.arange(n), pivot_cols)
     k = n - rank
-    phi = np.empty((rank, (k + 63) // 64), dtype=np.uint64)
+    phi = gf2.zeros(rank, k)
     for r in range(0, rank, _ROW_BLOCK):
         # of a block's unpacked rows only the information columns are kept
         reduced = gf2.unpack_rows(words[r:min(r + _ROW_BLOCK, rank)], n)[:, info_cols]

@@ -7,16 +7,29 @@ import numpy as np
 # rows a block clear updates at a time; their gathered sums are the clear's
 # only temporary, 0.3 MiB at n=10000 where the packed rows take 9 MiB
 _CLEAR_ROWS = 256
+# rows of M that one step of :func:`mul` unpacks and casts to float32
+_MUL_ROWS = 128
+
+
+def zeros(rows: int, n: int) -> np.ndarray:
+    """``rows`` packed rows of ``n`` zero bits, the layout of every packed row
+    here: bit j at bit j % 64 of uint64 word j // 64, ceil(n / 64) words."""
+    return np.zeros((rows, (n + 63) // 64), dtype=np.uint64)
+
+
+def set_ones(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit ``cols[e]`` of packed row ``rows[e]`` for every e, in place."""
+    np.bitwise_or.at(words.view(np.uint8), (rows, cols >> 3),
+                     (1 << (cols & 7)).astype(np.uint8))
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, n) 0/1 matrix into little-endian uint64 words per row."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    """Pack a (rows, n) 0/1 matrix into :func:`zeros` rows."""
+    bits = np.asarray(bits, dtype=np.uint8)
     packed = np.packbits(bits, axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view(np.uint64)
+    words = zeros(*bits.shape)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words
 
 
 def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
@@ -129,34 +142,32 @@ def invert(words: np.ndarray) -> np.ndarray | None:
     """Inverse of a square GF(2) matrix, both as :func:`pack_rows` rows, or
     None if singular.
 
-    The augmented matrix [A | I] is A's words followed by bit k + i set in
-    row i, reduced in place; the inverse's words are shifted out of its
-    right half into an array of their own, so the result keeps no k x 2k
-    buffer alive.
+    The augmented matrix [A | I] is A's words followed by I's, which start
+    on a word of their own, reduced in place; the inverse is the copied
+    right half, so the result keeps no k x 2k buffer alive.
     """
     k = words.shape[0]
     width = (k + 63) // 64
     if words.shape != (k, width):
         raise ValueError("matrix must be square")
-    aug = np.zeros((k, (2 * k + 63) // 64), dtype=np.uint64)
+    aug = zeros(k, 64 * width + k)
     aug[:, :width] = words
-    eye = k + np.arange(k, dtype=np.uint64)
-    aug[np.arange(k), eye >> np.uint64(6)] |= np.uint64(1) << (eye & np.uint64(63))
+    set_ones(aug, np.arange(k), np.arange(64 * width, 64 * width + k))
     if rref(aug, k) != list(range(k)):
         return None
-    # bits k .. 2k-1 start at bit k % 64 of word k // 64; each word of the
-    # inverse takes its top bits from the next word, where there is one
-    q, s = divmod(k, 64)
-    inverse = aug[:, q:q + width] >> np.uint64(s)
-    if s:
-        top = aug[:, q + 1:q + width + 1]
-        inverse[:, :top.shape[1]] |= top << np.uint64(64 - s)
-    return inverse
+    return aug[:, width:].copy()
 
 
-def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a @ b) mod 2 via float32 BLAS; exact while inner dim < 2**24."""
-    if a.shape[-1] >= (1 << 24):
+def mul(bits: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
+    """(bits @ M.T) mod 2 as uint8, for (batch, n) 0/1 ``bits`` and the
+    packed rows ``words`` of M, of which ``_MUL_ROWS`` rows at a time are
+    unpacked and cast to float32; float32 sums are exact while n < 2**24."""
+    if n >= 1 << 24:
         raise ValueError("inner dimension too large for exact float32 parity")
-    prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
-    return (prod.astype(np.int64) & 1).astype(np.uint8)
+    frames = np.asarray(bits, dtype=np.float32)
+    out = np.empty((frames.shape[0], words.shape[0]), dtype=np.uint8)
+    for j in range(0, words.shape[0], _MUL_ROWS):
+        # no block outlives its step
+        prod = frames @ unpack_rows(words[j:j + _MUL_ROWS], n).T.astype(np.float32)
+        out[:, j:j + _MUL_ROWS] = prod.astype(np.int64) & 1
+    return out

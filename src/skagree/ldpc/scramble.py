@@ -12,8 +12,6 @@ from ..channels import SeededRng
 from . import gf2
 
 _MAX_DRAWS = 64
-# rows of the key that one product step unpacks and casts to float32
-_ROW_BLOCK = 128
 # bits of a candidate key drawn at a time; ``SeededRng.bits`` takes one raw
 # 64-bit word per bit, so a block's words take 128 KiB
 _DRAW_BITS = 1 << 14
@@ -33,14 +31,12 @@ class FrameScrambler:
         self.seed = seed
         rng = SeededRng(seed)
         rows = max(1, _DRAW_BITS // length)
-        # packed rows whose padding bits stay zero
-        candidate = np.zeros((length, (length + 63) // 64), dtype=np.uint64)
-        octets = candidate.view(np.uint8)[:, :(length + 7) // 8]
+        candidate = gf2.zeros(length, length)
         for _ in range(_MAX_DRAWS):
             # blocks drawn in sequence take the bits one (length, length) draw would
             for r in range(0, length, rows):
                 block = rng.bits((min(rows, length - r), length))
-                octets[r:r + rows] = np.packbits(block, axis=1, bitorder="little")
+                candidate[r:r + rows] = gf2.pack_rows(block)
             inverse = gf2.invert(candidate)
             if inverse is not None:
                 break
@@ -68,15 +64,8 @@ class FrameScrambler:
         return self._mul(bits, self._inverse)
 
     def _mul(self, bits, words) -> np.ndarray:
-        """(bits @ mat.T) mod 2 for the packed rows ``words`` of ``mat``, a
-        block of rows at a time, so that only that block is ever unpacked
-        and cast to float."""
+        """(bits @ mat.T) mod 2 for the packed rows ``words`` of ``mat``."""
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != self.length:
             raise ValueError(f"expected (batch, {self.length}) frames")
-        out = np.empty(arr.shape, dtype=np.uint8)
-        frames = arr.astype(np.float32)
-        for j in range(0, self.length, _ROW_BLOCK):
-            block = gf2.unpack_rows(words[j:j + _ROW_BLOCK], self.length)
-            out[:, j:j + _ROW_BLOCK] = gf2.matmul_mod2(frames, block.T)
-        return out
+        return gf2.mul(arr, words, self.length)

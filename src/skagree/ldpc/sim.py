@@ -194,6 +194,8 @@ def fer_ber_sim(
         raise ValueError("frame counts must be positive")
     sim = FrameSimulator(h)
     k = sim.info_cols.size
+    if k == 0:
+        raise ValueError(f"the code has no message bits: H has full rank {h.shape[1]}")
     lanes = max(1, workers)
     frames = fe_total = be_total = 0
     # each worker receives the simulator once, through the initializer; the

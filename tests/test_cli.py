@@ -110,6 +110,8 @@ _MALFORMED = [
     ("threshold", {"hi_db": 4000.0}, "hi_db"),
     ("outage-analytic", {"gamma_e_db": 5000.0}, "gamma_e_db"),
     ("sk-cdf", {"target_lambda_r_db": 4000.0}, "target_lambda_r_db"),
+    # a full-rank code, k = 0: the simulator's check
+    ("fer-sim", {"n": 60, "rate": 0.0}, None),
 ]
 
 

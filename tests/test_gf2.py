@@ -92,7 +92,7 @@ def _square(rng, k, singular):
             return a
 
 
-@pytest.mark.parametrize("k", [1, 7, 64, 65, 130])
+@pytest.mark.parametrize("k", [1, 7, 63, 64, 65, 127, 128, 129, 130])
 def test_invert_matches_reference(k):
     rng = np.random.default_rng(k)
     a = _square(rng, k, singular=False)
@@ -116,3 +116,36 @@ def test_invert_singular(k):
     words = pack_rows(augmented)
     assert rref(words, k) == expected_pivots
     assert np.array_equal(unpack_rows(words, 2 * k), expected)
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_mul_matches_dense_product(rows, n):
+    """The product over packed rows, which unpacks 128 rows of M a step,
+    is the dense (bits @ M.T) mod 2 for every batch size."""
+    rng = np.random.default_rng(rows * 1000 + n)
+    dense = rng.integers(0, 2, (rows, n), dtype=np.uint8)
+    words = pack_rows(dense)
+    for batch in (0, 1, 5):
+        bits = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+        out = gf2.mul(bits, words, n)
+        assert out.dtype == np.uint8 and out.shape == (batch, rows)
+        assert np.array_equal(out, bits.astype(np.int64) @ dense.T % 2)
+
+
+def test_mul_refuses_an_inexact_inner_dimension():
+    n = 1 << 24
+    with pytest.raises(ValueError, match="inner dimension"):
+        gf2.mul(np.zeros((0, n), dtype=np.uint8), gf2.zeros(0, n), n)
+
+
+def test_set_ones_matches_pack_rows():
+    """Ones that share a byte, a word boundary or a position (set twice)
+    all land, and no other bit does."""
+    rows = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+    cols = np.array([0, 1, 2, 7, 63, 64, 65, 5, 5, 129])
+    words = gf2.zeros(3, 130)
+    gf2.set_ones(words, rows, cols)
+    dense = np.zeros((3, 130), dtype=np.uint8)
+    dense[rows, cols] = 1
+    assert np.array_equal(words, pack_rows(dense))

@@ -61,6 +61,18 @@ def test_derive_encoder_stays_below_one_dense_copy_of_h():
     assert peak < 2 * (packed_rows + enc._phi.nbytes)
 
 
+def test_encode_batch_stays_below_one_unpacked_parity_map():
+    """Unpacking the whole parity map and casting it to float32 took 5
+    bytes per entry (22.8 MiB at n=5000); the product unpacks 128 of its
+    rows at a time."""
+    h = peg_construct(2000, 0.25, 3, SeededRng(99).spawn(0))
+    enc = derive_encoder(h)
+    msgs = np.random.default_rng(1).integers(0, 2, (16, enc.k), dtype=np.uint8)
+    words, peak = _traced_peak(lambda: enc.encode_batch(msgs))
+    assert not h.syndrome(words).any()
+    assert peak < enc.rank * enc.k
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scrambler_draw_stays_below_one_byte_per_entry(seed):
     """A float64 draw alone takes 8 bytes per entry, and a byte per entry
