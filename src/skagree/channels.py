@@ -62,11 +62,6 @@ class SeededRng:
         u = self._gen.random(2 * total)
         return 1.0 - u[0::2], u[1::2], shape
 
-    def normals(self, size):
-        """Standard normal variates via Box-Muller (cosine branch)."""
-        u1, u2, shape = self._uniform_pairs(size)
-        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(shape)
-
     def complex_normals(self, size):
         """CN(0, 1) variates: modulus sqrt(Exp(1)), phase uniform."""
         u1, u2, shape = self._uniform_pairs(size)

@@ -100,11 +100,8 @@ _L_E = Param("l_e", int, "eavesdropper channel taps", bounds="[1, inf)")
 _GAMMA_E = Param("gamma_e_db", float, "dB, eavesdropper total channel gain", bounds=_DB)
 _DECAY = Param("decay", float, "PDP decay in nats per tap", 0.5, "[0, inf)")
 _W_C = Param("w_c", int, "column weight", bounds="[2, inf)")
-_CODE = (
-    Param("n", int, "codeword length", bounds="[2, inf)"),
-    Param("rate", float, "design rate", bounds="[0, 1)"),
-    _W_C,
-)
+_RATE = Param("rate", float, "design rate", bounds="[0, 1)")
+_CODE = (Param("n", int, "codeword length", bounds="[2, inf)"), _RATE, _W_C)
 _MAX_ITER = Param("max_iter", int, "decoder or density-evolution iterations", 100, "[0, inf)")
 
 
@@ -175,7 +172,7 @@ def _run_diag_check(p: dict, rng: SeededRng, workers: int):
 
 def _run_threshold(p: dict, rng: SeededRng, workers: int):
     w_c = p["w_c"]
-    w_r = p["w_r"] if p["rate"] is None else w_c / (1.0 - p["rate"])
+    w_r = w_c / (1.0 - p["rate"])
     keys = ("tol_db", "max_iter", "xi_target", "lo_db", "hi_db")
     lam = decoding_threshold(w_c, w_r, **{key: p[key] for key in keys})
     rows = [[w_c, w_r, 10.0 * np.log10(lam)]]
@@ -274,9 +271,7 @@ KINDS: dict[str, tuple] = {
         Param("trials", int, "random channels to test", bounds="[1, inf)"),
     )),
     "threshold": (_run_threshold, (
-        _W_C,
-        Param("rate", float, "design rate, gives w_r = w_c/(1-rate)", None, "[0, 1)"),
-        Param("w_r", float, "row weight (give it or rate)", None, "(2, inf)"),
+        _W_C, _RATE,
         Param("tol_db", float, "dB, bisection width", 0.05, "(0, inf)"),
         _MAX_ITER._replace(default=1000),
         Param("xi_target", float, "divergence declaration level", 1.0, "(0, inf)"),
@@ -307,8 +302,8 @@ KINDS: dict[str, tuple] = {
         *_OFDM, _L_E, _GAMMA_E,
         Param("power", float, "linear transmit power", bounds="(0, inf)"),
         _DECAY,
-        Param("theta_max_db", float, "dB, top of the threshold grid", 10.0),
-        Param("theta_min_db", float, "dB, bottom of the grid", -30.0),
+        Param("theta_max_db", float, "dB, top of the threshold grid", 10.0, _DB),
+        Param("theta_min_db", float, "dB, bottom of the grid", -30.0, _DB),
         Param("points", int, "grid size", 200, "[1, inf)"),
     )),
 }
@@ -343,8 +338,6 @@ class ExperimentConfig:
                 raise ConfigError(f"key {key!r} of kind {kind!r} is missing: {key} required")
             else:
                 params[key] = param.default
-        if kind == "threshold" and (params["rate"] is None) == (params["w_r"] is None):
-            raise ConfigError("threshold needs exactly one of 'rate' or 'w_r'")
         return cls(kind=kind, params=params)
 
 

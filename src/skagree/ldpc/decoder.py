@@ -94,29 +94,39 @@ class SumProductDecoder:
     def decode_batch(self, llrs, max_iter: int = 100):
         """Decode (batch, n) LLR rows; returns (bits, converged, iterations).
 
-        ``llrs`` is an array, or a frame source: a sized object whose
-        ``[ids]`` gives those frames' (ids.size, n) float64 LLR rows. Frames
-        are read in order, a group of free columns at a time, and each
-        frame once. A loaded group is clipped in float64, and its frames
-        whose channel decisions already satisfy every check (read off the
-        slot planes) retire with 0 iterations. The rest are decoded in a
-        window of ``_window_frames`` columns, each holding one frame and the
-        number of iterations it has run. Each step ends by gathering the
-        posteriors onto the slot planes, which also gives every check's
-        parity for the hard decisions, so a column retires there, converged
-        or after ``max_iter`` iterations, and the next frames read take the
-        free columns in place. Once every frame is read the window narrows
-        as its frames retire.
+        ``llrs`` is an array or a frame source: anything with a ``len`` whose
+        ``[ids]``, for an index array ``ids``, gives those frames' (ids.size,
+        n) LLR rows. Frames are read in order, a group of free columns at a
+        time, and each once; a group is clipped in float64. One settle step
+        writes the outcome of every frame that is done, converged or run for
+        ``max_iter`` iterations (an unconverged frame reports ``max_iter``,
+        also when that is 0 or below): for each group as it is read, at 0
+        iterations, and for the window after each step, whose posteriors are
+        gathered onto the slot planes. A done frame's column takes the next
+        frame read; once every frame is read the window narrows as its
+        frames retire.
         """
-        if isinstance(llrs, (np.ndarray, list, tuple)):
-            llrs = np.asarray(llrs)
-            if llrs.ndim != 2 or llrs.shape[1] != self.n:
-                raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
         dtype = self.dtype
         frames = len(llrs)
         bits = np.empty((frames, self.n), dtype=np.uint8)
         converged = np.zeros(frames, dtype=bool)
         iterations = np.zeros(frames, dtype=np.int64)
+
+        def settle(neg, post, ids, count):
+            """Write the outcome of the frames ``ids`` that are done, and
+            return which are; ``neg`` (used up) holds their sign planes,
+            ``post`` their (n, ids.size) values and ``count`` the iterations
+            they have run."""
+            ok = self._checks_satisfied(neg)
+            if ok.any():
+                ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
+            done = ok | (count >= max_iter)
+            if done.any():
+                bits[ids[done]] = post[:, done].T < 0
+                converged[ids[done]] = ok[done]
+                iterations[ids[done]] = np.where(ok, count, max_iter)[done]
+            return done
+
         if frames == 0:
             return bits, converged, iterations
 
@@ -133,12 +143,11 @@ class SumProductDecoder:
         loaded = 0  # frames read so far
         while True:
             while free.size and loaded < frames:
-                lo, loaded = loaded, min(loaded + free.size, frames)
-                rows = np.asarray(llrs[np.arange(lo, loaded)], dtype=float)
-                if rows.shape != (loaded - lo, self.n):
+                ids = np.arange(loaded, min(loaded + free.size, frames))
+                loaded += ids.size
+                rows = np.asarray(llrs[ids], dtype=float)
+                if rows.shape != (ids.size, self.n):
                     raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
-                bits[lo:loaded] = rows < 0
-                sure = np.all(rows != 0.0, axis=1)
                 # clipped in float64, one column per frame; the messages take
                 # ``dtype`` from here on. The block lives in the work space
                 # ``g`` (at least two (n, width) planes, which only
@@ -148,18 +157,14 @@ class SumProductDecoder:
                 block = block.view(np.float64).reshape(self.n, len(rows))
                 np.clip(rows.T, -_CLAMP, _CLAMP, out=block)
                 rows = None
-                sure &= self._checks_satisfied(np.take(block < 0.0, self._var_of_pos, axis=0))
-                converged[lo:loaded] = sure
-                if max_iter <= 0:  # no iteration to run
-                    iterations[lo:loaded] = np.where(sure, 0, max_iter)
-                    continue
-                rest = np.flatnonzero(~sure)
+                done = settle(np.take(block < 0.0, self._var_of_pos, axis=0), block, ids, 0)
+                rest = np.flatnonzero(~done)
                 cols, free = free[:rest.size], free[rest.size:]
-                frame[cols] = lo + rest
+                frame[cols] = ids[rest]
                 count[cols] = 0
                 block *= 0.5
                 # cast on assignment
-                half_llr[:, cols] = block if rest.size == sure.size else block[:, rest]
+                half_llr[:, cols] = block if rest.size == ids.size else block[:, rest]
                 block = None
                 c[:, cols] = 0.0
                 # ``post`` is left: this step writes it before reading it;
@@ -188,16 +193,7 @@ class SumProductDecoder:
             self._posteriors(half_llr, c, g, out=post)
             count += 1
             np.take(post, self._var_of_pos, axis=0, out=t, mode="clip")
-            done = count == max_iter
-            ok = self._checks_satisfied(np.less(t, 0.0, out=neg))
-            if ok.any():
-                ok[ok] = np.all(post[:, ok] != 0.0, axis=0)
-                converged[frame[ok]] = True
-                done |= ok
-            if done.any():
-                free = np.flatnonzero(done)
-                bits[frame[free]] = post[:, free].T < 0
-                iterations[frame[free]] = count[free]
+            free = np.flatnonzero(settle(np.less(t, 0.0, out=neg), post, frame, count))
 
     def _checks_satisfied(self, neg: np.ndarray) -> np.ndarray:
         """Per column, whether the sign planes ``neg`` satisfy every check.

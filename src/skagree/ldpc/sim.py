@@ -107,8 +107,8 @@ class FrameSimulator:
 
 class _FrameLlrs:
     """The channel LLRs of the all-zero word's frames ``frame_ids``, drawn
-    on demand: ``[rows]`` draws those frames' noise, frame i's from
-    ``rng.spawn(i)``.
+    on demand: ``[ids]`` (an index array) gives those frames' LLR rows,
+    frame i's noise drawn from ``rng.spawn(i)``.
 
     A group's noise, received symbols and LLRs share one buffer: each
     frame's noise is drawn into its row, the all-zero word's symbols are
@@ -126,18 +126,12 @@ class _FrameLlrs:
     def __len__(self) -> int:
         return len(self.frame_ids)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.frame_ids), self.n
-
-    def __getitem__(self, rows) -> np.ndarray:
-        frames = self.frame_ids[rows]
-        rx = np.empty((np.size(frames), self.symbols.shape[1]), dtype=complex)
-        for row, frame in enumerate(np.ravel(frames)):
+    def __getitem__(self, ids) -> np.ndarray:
+        rx = np.empty((len(ids), self.symbols.shape[1]), dtype=complex)
+        for row, frame in enumerate(self.frame_ids[ids]):
             rx[row] = self.rng.spawn(int(frame)).complex_normals(rx.shape[1])
         rx += self.symbols
-        # an integer index gives one row, as an array's does
-        return llrs_from_rx(rx, self.snr_lambda, self.n).reshape(np.shape(frames) + (self.n,))
+        return llrs_from_rx(rx, self.snr_lambda, self.n)
 
 
 # The last key drawn. A new (k, seed) releases it before its own is drawn,

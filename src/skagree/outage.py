@@ -47,6 +47,8 @@ class EigenSpectrum:
         vals = np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1].copy()
         if vals.size < 1:
             raise ValueError("empty spectrum")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("eigenvalues must be finite")
         if vals[-1] < 0:
             raise ValueError("eigenvalues must be nonnegative")
         vals.setflags(write=False)
@@ -58,6 +60,8 @@ class EigenSpectrum:
         c = np.asarray(c)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("quadratic form must be square")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("quadratic form must be finite")
         if not np.allclose(c, c.T, atol=1e-12):
             raise ValueError("quadratic form must be symmetric")
         vals = np.linalg.eigvalsh(c)
@@ -96,7 +100,9 @@ def build_c_matrix(cfg: OfdmConfig, pdp: PdpProfile, power: float) -> np.ndarray
     core = big_n - np.abs(idx[:, None] - idx[None, :])
     root = np.sqrt(pdp.tap_powers)
     scale = power / (1.0 + cfg.cp_overhead) / big_m
-    c = scale * (root[:, None] * core * root[None, :])
+    # an entry that overflows is inf, which ``EigenSpectrum.from_matrix`` rejects
+    with np.errstate(over="ignore"):
+        c = scale * (root[:, None] * core * root[None, :])
     c.setflags(write=False)
     return c
 

@@ -22,14 +22,9 @@ class TestSeededRng:
         assert not np.array_equal(root.spawn(0).uniform(8), root.spawn(1).uniform(8))
 
     def test_spawn_deterministic(self):
-        a = SeededRng(5).spawn(3).normals(10)
-        b = SeededRng(5).spawn(3).normals(10)
+        a = SeededRng(5).spawn(3).complex_normals(10)
+        b = SeededRng(5).spawn(3).complex_normals(10)
         assert np.array_equal(a, b)
-
-    def test_normals_moments(self):
-        z = SeededRng(2).normals(200_000)
-        assert abs(z.mean()) < 0.01
-        assert abs(z.var() - 1.0) < 0.02
 
     def test_complex_normals_unit_variance(self):
         z = SeededRng(3).complex_normals(200_000)

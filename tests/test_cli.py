@@ -35,8 +35,9 @@ def write_config(tmp_path, payload, name="cfg.json"):
 class TestDescribe:
     def test_threshold_lists_parameters(self):
         text = describe("threshold")
-        for key in ("w_c", "rate", "w_r", "tol_db", "seed"):
+        for key in ("w_c", "rate", "tol_db", "seed"):
             assert key in text
+        assert "w_r" not in text
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -62,12 +63,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig.from_dict(
                 "diag-check", {"seed": 1, "m": 16, "mu": 4, "l_r": 2}
-            )
-
-    def test_rate_and_wr_mutually_exclusive(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(
-                "threshold", {"seed": 1, "w_c": 3, "rate": 0.25, "w_r": 4.0}
             )
 
 
@@ -110,6 +105,9 @@ _MALFORMED = [
     ("threshold", {"hi_db": 4000.0}, "hi_db"),
     ("outage-analytic", {"gamma_e_db": 5000.0}, "gamma_e_db"),
     ("sk-cdf", {"target_lambda_r_db": 4000.0}, "target_lambda_r_db"),
+    ("outage-analytic", {"theta_max_db": 4000.0}, "theta_max_db"),
+    # every key in bounds, but the quadratic form overflows: the library's check
+    ("outage-analytic", {"l_e": 2, "gamma_e_db": 300.0, "power": 1e308}, None),
     # a full-rank code, k = 0: the simulator's check
     ("fer-sim", {"n": 60, "rate": 0.0}, None),
 ]
@@ -232,7 +230,7 @@ class TestMain:
         # bracket failure after validation: exit 2, nothing written
         cfg = write_config(
             tmp_path,
-            {"seed": 1, "w_c": 3, "w_r": 4.0, "lo_db": -20.0, "hi_db": -15.0,
+            {"seed": 1, "w_c": 3, "rate": 0.25, "lo_db": -20.0, "hi_db": -15.0,
              "out": "bad"},
         )
         out_dir = tmp_path / "results"

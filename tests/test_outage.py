@@ -129,6 +129,10 @@ class TestEigenSpectrum:
         with pytest.raises(ValueError):
             EigenSpectrum(np.array([1.0, -0.5]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            EigenSpectrum(np.array([np.nan]))
+
 
 class TestLambdaECdf:
     def test_zero_at_origin(self):
@@ -433,3 +437,6 @@ def test_quadratic_form_validation():
         EigenSpectrum.from_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         EigenSpectrum.from_matrix(np.ones(3))
+    # an overflowed form: eigvalsh would give NaN eigenvalues
+    with pytest.raises(ValueError, match="finite"):
+        EigenSpectrum.from_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
