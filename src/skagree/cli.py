@@ -271,7 +271,8 @@ KINDS: dict[str, tuple] = {
         Param("trials", int, "random channels to test", bounds="[1, inf)"),
     )),
     "threshold": (_run_threshold, (
-        _W_C, _RATE,
+        # a rate of 0 would make w_r = w_c, an ensemble DE rejects
+        _W_C, _RATE._replace(bounds="(0, 1)"),
         Param("tol_db", float, "dB, bisection width", 0.05, "(0, inf)"),
         _MAX_ITER._replace(default=1000),
         Param("xi_target", float, "divergence declaration level", 1.0, "(0, inf)"),

@@ -120,7 +120,8 @@ def decoding_threshold(
     """Smallest linear symbol SNR at which density evolution converges.
 
     Bisects in dB between a failing and a succeeding point down to
-    ``tol_db``. Raises if [lo_db, hi_db] does not bracket the transition.
+    ``tol_db``, or until no float lies between them. Raises if
+    [lo_db, hi_db] does not bracket the transition.
     """
     if tol_db <= 0:
         raise ValueError("tol_db must be positive")
@@ -137,6 +138,8 @@ def decoding_threshold(
         )
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: ``tol_db`` is finer than their spacing
         if converges(mid):
             hi = mid
         else:

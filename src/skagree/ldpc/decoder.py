@@ -37,7 +37,7 @@ class SumProductDecoder:
     Messages live in check-major slot planes: checks are ordered by
     decreasing degree, and plane ``j`` holds slot ``j`` of every check that
     has one, so a plane's padding would be a tail and is left out. Arrays
-    are edge-major, one column per frame, so a plane is one block. A check
+    are edge-major, one column per frame, so a plane is contiguous. A check
     whose last slot is ``j`` gets the neutral factor 1.0 as its suffix
     there. Each variable sums its check messages in increasing check order,
     with non-uniform columns padded by a slot that is always 0.0; this adds
@@ -47,8 +47,9 @@ class SumProductDecoder:
     ``artanh(.) = c/2`` out of it; halving is exact in floating point, so
     this equals the full-message recursion. Message magnitudes are clamped
     to ``_CLAMP``. Messages are held in ``dtype``; channel LLRs are clipped
-    to ``_CLAMP`` in float64 first, so the decisions and convergence flags
-    of frames that converge at the channel do not depend on it. Frames are
+    to ``_CLAMP`` in float64 first, and frames that converge at the channel
+    are settled on the LLRs as read, so their decisions and convergence
+    flags do not depend on it. Frames are
     decoded a few columns at a time, in a window; as frames are independent,
     which column holds a frame, and next to which others, changes no result.
 
@@ -96,15 +97,17 @@ class SumProductDecoder:
 
         ``llrs`` is an array or a frame source: anything with a ``len`` whose
         ``[ids]``, for an index array ``ids``, gives those frames' (ids.size,
-        n) LLR rows. Frames are read in order, a group of free columns at a
-        time, and each once; a group is clipped in float64. One settle step
-        writes the outcome of every frame that is done, converged or run for
-        ``max_iter`` iterations (an unconverged frame reports ``max_iter``,
-        also when that is 0 or below): for each group as it is read, at 0
-        iterations, and for the window after each step, whose posteriors are
-        gathered onto the slot planes. A done frame's column takes the next
-        frame read; once every frame is read the window narrows as its
-        frames retire.
+        n) LLR rows. The rows it returns belong to the decoder, which
+        overwrites them: an array indexed with ``ids`` gives a copy, and a
+        source must give rows that no one else holds. Frames are read in
+        order, a group of free columns at a time, and each once. One settle
+        step writes the outcome of every frame that is done, converged or run
+        for ``max_iter`` iterations (an unconverged frame reports
+        ``max_iter``, also when that is 0 or below): for each group as it is
+        read, at 0 iterations, and for the window after each step, whose
+        posteriors are gathered onto the slot planes. A done frame's column
+        takes the next frame read; once every frame is read the window
+        narrows as its frames retire.
         """
         dtype = self.dtype
         frames = len(llrs)
@@ -148,39 +151,31 @@ class SumProductDecoder:
                 rows = np.asarray(llrs[ids], dtype=float)
                 if rows.shape != (ids.size, self.n):
                     raise ValueError(f"expected (batch, n) LLRs with n = {self.n}")
-                # clipped in float64, one column per frame; the messages take
-                # ``dtype`` from here on. The block lives in the work space
-                # ``g`` (at least two (n, width) planes, which only
-                # ``_posteriors`` writes and reads), so a group takes no
-                # memory of its own but the rows it is read from.
-                block = g.reshape(-1).view(np.uint8)[:8 * rows.size]
-                block = block.view(np.float64).reshape(self.n, len(rows))
-                np.clip(rows.T, -_CLAMP, _CLAMP, out=block)
-                rows = None
-                done = settle(np.take(block < 0.0, self._var_of_pos, axis=0), block, ids, 0)
+                # settled as read: the clip below changes no sign and no zero
+                done = settle(np.take(rows.T < 0.0, self._var_of_pos, axis=0), rows.T, ids, 0)
                 rest = np.flatnonzero(~done)
                 cols, free = free[:rest.size], free[rest.size:]
                 frame[cols] = ids[rest]
                 count[cols] = 0
-                block *= 0.5
-                # cast on assignment
-                half_llr[:, cols] = block if rest.size == ids.size else block[:, rest]
-                block = None
+                # clipped in float64, in the rows themselves; the messages
+                # take ``dtype`` from here on (cast on assignment)
+                np.clip(rows, -_CLAMP, _CLAMP, out=rows)
+                rows *= 0.5
+                half_llr[:, cols] = (rows if rest.size == ids.size else rows[rest]).T
+                rows = None
                 c[:, cols] = 0.0
                 # ``post`` is left: this step writes it before reading it;
                 # ``t`` is gathered a column at a time, so no (edges, group)
                 # temporary is made
                 for col in cols:
                     t[:, col] = half_llr[self._var_of_pos, col]
-            if free.size:  # every frame is read: narrow to the busy columns
-                busy = np.ones(frame.size, dtype=bool)
-                busy[free] = False
-                keep = np.flatnonzero(busy)
+            if free.size:  # every frame is read: narrow to the held columns
+                keep = np.delete(np.arange(frame.size), free)
                 if keep.size == 0:
                     return bits, converged, iterations
                 frame, count, free = frame[keep], count[keep], free[:0]
                 # C-ordered copies of the kept columns, so each plane stays
-                # one block (``a[:, keep]`` would be F-ordered), made one at
+                # contiguous (``a[:, keep]`` would be F-ordered), made one at
                 # a time so each replaces its array before the next is made
                 half_llr = np.take(half_llr, keep, axis=1)
                 post = np.take(post, keep, axis=1)

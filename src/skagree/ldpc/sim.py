@@ -265,13 +265,19 @@ def security_gap(
     code's degree profile (computed once per process for each profile),
     simulating FER at each point, then interpolates
     the two crossings: FER <= fer_reliable (log-FER interpolation) and
-    FER >= fer_secure (linear interpolation near saturation).
+    FER >= fer_secure (linear interpolation near saturation). A
+    ``step_db`` that cannot move the SNR off the center is a ValueError.
     """
     if not fer_secure > fer_reliable:
         raise ValueError("fer_secure must exceed fer_reliable")
+    if not (step_db > 0 and np.isfinite(_GAP_SPAN_DB / step_db)):
+        raise ValueError(f"step_db must be positive and span {_GAP_SPAN_DB} dB "
+                         f"in finitely many steps, got {step_db}")
     w_c = int(np.bincount(h.col_weights()).argmax())
     w_r = h.n * w_c / h.num_checks
     center = _de_center_db(w_c, w_r)
+    if center + step_db == center:
+        raise ValueError(f"step_db {step_db} does not move the SNR from {center} dB")
     floor = 0.5 / max_frames
     cache: dict[int, FerBerEstimate] = {}
 

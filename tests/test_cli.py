@@ -87,6 +87,8 @@ _MALFORMED = [
     ("outage-analytic", {"points": 0}, "points"),
     ("fer-sim", {"w_c": "abc"}, "w_c"),
     ("threshold", {"rate": 1.0}, "rate"),
+    # w_r = w_c, an ensemble with no threshold
+    ("threshold", {"rate": 0.0}, "rate"),
     ("sk-cdf", {"samples": 0}, "samples"),
     ("fer-sim", {"max_frames": 0}, "max_frames"),
     ("fer-sim", {"snr_db_list": 5}, "snr_db_list"),
@@ -108,6 +110,8 @@ _MALFORMED = [
     ("outage-analytic", {"theta_max_db": 4000.0}, "theta_max_db"),
     # every key in bounds, but the quadratic form overflows: the library's check
     ("outage-analytic", {"l_e": 2, "gamma_e_db": 300.0, "power": 1e308}, None),
+    # a grid step the SNR cannot resolve: the library's check
+    ("security-gap", {"step_db": 1e-320}, None),
     # a full-rank code, k = 0: the simulator's check
     ("fer-sim", {"n": 60, "rate": 0.0}, None),
 ]

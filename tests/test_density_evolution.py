@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import skagree.ldpc.de as de_module
 from skagree.ldpc import decoding_threshold, density_evolution, psi, psi_inv
 
 
@@ -114,6 +115,24 @@ class TestDecodingThreshold:
                 decoding_threshold(3, 4.0, tol_db=0.02, xi_target=target)
             )
             assert abs(moved - base) < 0.1
+
+    def test_tolerance_below_float_spacing_returns(self, monkeypatch):
+        """A ``tol_db`` finer than the bracket's float spacing ends the
+        bisection once no float lies between its ends; the spy stops a
+        bisection that cannot narrow well before a hang."""
+        runs = []
+        inner = de_module.density_evolution
+
+        def counting(*args):
+            runs.append(args)
+            if len(runs) > 200:
+                raise AssertionError("bisection does not end")
+            return inner(*args)
+
+        monkeypatch.setattr(de_module, "density_evolution", counting)
+        fine = 10 * np.log10(decoding_threshold(3, 4.0, tol_db=1e-17, max_iter=50))
+        coarse = 10 * np.log10(decoding_threshold(3, 4.0, tol_db=0.05, max_iter=50))
+        assert abs(fine - coarse) < 0.05
 
     def test_bracket_failure_raises(self):
         with pytest.raises(RuntimeError):

@@ -382,6 +382,27 @@ def test_no_iterations_returns_channel_decisions(max_iter, code512):
     assert np.array_equal(iters, np.where(conv, 0, max_iter))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_decode_leaves_its_input_unchanged(dtype, code512):
+    """The decoder overwrites the rows it reads, never an array it is given:
+    values beyond the clamp, exact zeros and a frame that converges at the
+    channel come back as they went in, and are decoded as a copy is."""
+    words, llrs = noisy_llrs(code512, -1.5, 12, SeededRng(18))
+    llrs[0] = 45.0 * (1.0 - 2.0 * words[0])  # converged at the channel
+    llrs[1, ::7] = -1e300
+    llrs[2, :40] = 0.0
+    llrs[3] = 0.0
+    llrs[4, 1::5] = np.inf
+    kept = llrs.copy()
+    llrs.flags.writeable = False
+    decoder = SumProductDecoder(code512, dtype=dtype)
+    bits, conv, iters = decoder.decode_batch(llrs, max_iter=20)
+    assert np.array_equal(llrs, kept)
+    assert conv[0] and iters[0] == 0 and not conv[3]
+    for got, want in zip((bits, conv, iters), decoder.decode_batch(kept.copy(), max_iter=20)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("window_frames", [1, 3, 4, None, "all"])
 def test_results_do_not_depend_on_slice_size(window_frames, code512):
     """Windows of 1, 3, 4 and the default number of columns, and one column

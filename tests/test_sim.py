@@ -509,6 +509,19 @@ def test_security_gap_rejects_degenerate_targets(small_code):
         security_gap(small_code, 0.5, 0.5, SeededRng(9))
 
 
+@pytest.mark.parametrize("step_db", [1e-300, 1e-320, 0.0, -0.2, float("nan")])
+def test_security_gap_rejects_a_step_that_cannot_move_the_snr(small_code, monkeypatch, step_db):
+    """A step that is not positive, spans the walk in no finite number of
+    steps or rounds away at the DE center is refused before any frame is
+    decoded."""
+    def decoded(*args, **kwargs):
+        raise AssertionError("a frame was decoded")
+
+    monkeypatch.setattr(sim_module, "fer_ber_sim", decoded)
+    with pytest.raises(ValueError, match="step_db"):
+        security_gap(small_code, 0.05, 0.8, SeededRng(9), step_db=step_db)
+
+
 def test_invalid_frame_counts(small_code):
     with pytest.raises(ValueError):
         fer_ber_sim(small_code, 1.0, 0, 1, 10, SeededRng(0))
