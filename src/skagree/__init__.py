@@ -19,15 +19,11 @@ from .ofdm import (
     toeplitz_conv_matrix,
 )
 from .rates import (
-    InputCovariance,
-    SnrPair,
     best_subcarrier,
     low_power_input,
     mimo_secret_key_rate,
     power_for_target_snr,
-    secret_key_rate,
     secret_key_rates,
-    secrecy_rate,
     secrecy_rates,
     snr_pair,
 )

@@ -173,6 +173,11 @@ def _run_diag_check(p: dict, rng: SeededRng, workers: int):
 def _run_threshold(p: dict, rng: SeededRng, workers: int):
     w_c = p["w_c"]
     w_r = w_c / (1.0 - p["rate"])
+    if not w_r > w_c:
+        raise ConfigError(
+            f"key 'rate' of kind 'threshold' must make w_c / (1 - rate) exceed w_c, "
+            f"not {p['rate']!r}"
+        )
     keys = ("tol_db", "max_iter", "xi_target", "lo_db", "hi_db")
     lam = decoding_threshold(w_c, w_r, **{key: p[key] for key in keys})
     rows = [[w_c, w_r, 10.0 * np.log10(lam)]]
@@ -207,12 +212,22 @@ def _point_row(snr_db: float, est: FerBerEstimate) -> list:
 
 
 def _run_fer_sim(p: dict, rng: SeededRng, workers: int):
+    # each point decodes the frames of its millidecibel's stream
+    streams = {}
+    for snr_db in p["snr_db_list"]:
+        stream = int(round(snr_db * 1000))
+        if stream in streams:
+            raise ConfigError(
+                f"key 'snr_db_list' of kind 'fer-sim' has points {streams[stream]!r} and "
+                f"{snr_db!r} in one millidecibel stream; they would decode the same frames"
+            )
+        streams[stream] = snr_db
     code, code_meta = _build_code(p, rng)
     rows = []
-    for snr_db in p["snr_db_list"]:
+    for stream, snr_db in streams.items():
         est = fer_ber_sim(
             code, 10.0 ** (snr_db / 10.0), p["max_frames"], p["target_frame_errors"],
-            p["max_iter"], rng.spawn(int(round(snr_db * 1000))), workers=workers,
+            p["max_iter"], rng.spawn(stream), workers=workers,
         )
         rows.append(_point_row(snr_db, est))
     return {"csv": (_POINT_HEADER, rows)}, code_meta
@@ -274,7 +289,8 @@ KINDS: dict[str, tuple] = {
         # a rate of 0 would make w_r = w_c, an ensemble DE rejects
         _W_C, _RATE._replace(bounds="(0, 1)"),
         Param("tol_db", float, "dB, bisection width", 0.05, "(0, inf)"),
-        _MAX_ITER._replace(default=1000),
+        # density evolution of no iteration never converges
+        _MAX_ITER._replace(default=1000, bounds="[1, inf)"),
         Param("xi_target", float, "divergence declaration level", 1.0, "(0, inf)"),
         Param("lo_db", float, "dB, bottom of the search bracket", -20.0, _DB),
         Param("hi_db", float, "dB, top of the search bracket", 20.0, _DB),

@@ -120,11 +120,14 @@ def decoding_threshold(
     """Smallest linear symbol SNR at which density evolution converges.
 
     Bisects in dB between a failing and a succeeding point down to
-    ``tol_db``, or until no float lies between them. Raises if
-    [lo_db, hi_db] does not bracket the transition.
+    ``tol_db``, or until no float lies between them. Raises ValueError if
+    ``lo_db`` is not below ``hi_db``, and RuntimeError if [lo_db, hi_db]
+    does not bracket the transition.
     """
     if tol_db <= 0:
         raise ValueError("tol_db must be positive")
+    if not lo_db < hi_db:
+        raise ValueError(f"lo_db must be below hi_db, not [{lo_db}, {hi_db}] dB")
 
     def converges(db: float) -> bool:
         lam = 10.0 ** (db / 10.0)

@@ -1,12 +1,11 @@
 """Achievable secret-key and secrecy rates for the low-power strategy.
 
 All SNRs are linear (dimensionless); dB conversion happens only at the CLI
-boundary. Rates are in bits per channel use.
+boundary. Rates are in bits per channel use. The rate functions take and
+return arrays; a single pair is rated as ``secret_key_rates(*snr_pair(...))``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,38 +14,15 @@ from .ofdm import OfdmConfig, _as_taps, effective_channels
 _LN2 = np.log(2.0)
 
 
-@dataclass(frozen=True)
-class SnrPair:
-    """Per-subcarrier linear SNRs of the legitimate and eavesdropper links."""
-
-    legitimate: float
-    eavesdropper: float
-
-    def __post_init__(self):
-        if self.legitimate < 0 or self.eavesdropper < 0:
-            raise ValueError("SNRs must be nonnegative")
-
-
-@dataclass(frozen=True)
-class InputCovariance:
+def low_power_input(cfg: OfdmConfig, subcarrier: int, power: float) -> np.ndarray:
     """Rank-one diagonal input covariance: all power on one subcarrier.
 
-    The nonzero entry is ``scale`` = power / (1 + cp_overhead), which makes
-    the transmitted time-domain energy equal ``power`` exactly.
+    The nonzero entry is power / (1 + cp_overhead), which makes the
+    transmitted time-domain energy equal ``power`` exactly.
     """
-
-    subcarrier: int
-    power: float
-    scale: float
-
-    def matrix(self, n_subcarriers: int) -> np.ndarray:
-        k = np.zeros((n_subcarriers, n_subcarriers))
-        k[self.subcarrier, self.subcarrier] = self.scale
-        return k
-
-
-def low_power_input(cfg: OfdmConfig, subcarrier: int, power: float) -> InputCovariance:
-    return InputCovariance(subcarrier, power, power / (1.0 + cfg.cp_overhead))
+    k = np.zeros((cfg.subcarriers, cfg.subcarriers))
+    k[subcarrier, subcarrier] = power / (1.0 + cfg.cp_overhead)
+    return k
 
 
 def best_subcarrier(gains) -> int:
@@ -57,13 +33,17 @@ def best_subcarrier(gains) -> int:
     return int(np.argmax(np.abs(gains)))
 
 
-def snr_pair(cfg: OfdmConfig, g_legit, g_eave, power: float, subcarrier: int) -> SnrPair:
-    """Linear SNRs of both links when all power rides on one subcarrier."""
+def snr_pair(
+    cfg: OfdmConfig, g_legit, g_eave, power: float, subcarrier: int
+) -> tuple[float, float]:
+    """Linear SNRs ``(lambda_r, lambda_e)`` when all power rides on one subcarrier."""
+    if power < 0:
+        raise ValueError("power must be nonnegative")
     ch = effective_channels(cfg, g_legit, g_eave)
     scale = power / (1.0 + cfg.cp_overhead)
     lam_r = scale * np.abs(ch.subcarrier_gains[subcarrier]) ** 2
     lam_e = scale * np.sum(np.abs(ch.eavesdropper_matrix[:, subcarrier]) ** 2)
-    return SnrPair(float(lam_r), float(lam_e))
+    return float(lam_r), float(lam_e)
 
 
 def power_for_target_snr(cfg: OfdmConfig, g_legit, target_snr: float) -> float:
@@ -83,24 +63,15 @@ def secret_key_rates(lambda_r, lambda_e):
 
 
 def secrecy_rates(lambda_r, lambda_e):
-    """Vectorized [log2(1 + lr) - log2(1 + le)]^+ (reconstructed comparison)."""
+    """Vectorized degraded-wiretap secrecy rate [log2(1 + lr) - log2(1 + le)]^+.
+
+    This comparison curve with the same rank-one input is a reconstruction
+    (the standard Gaussian wiretap expression), and is labelled as such in
+    experiment outputs.
+    """
     lambda_r = np.asarray(lambda_r, dtype=float)
     lambda_e = np.asarray(lambda_e, dtype=float)
     return np.maximum(0.0, (np.log1p(lambda_r) - np.log1p(lambda_e)) / _LN2)
-
-
-def secret_key_rate(snrs: SnrPair) -> float:
-    """Secret-key rate of the rank-one strategy, bits per channel use."""
-    return float(secret_key_rates(snrs.legitimate, snrs.eavesdropper))
-
-
-def secrecy_rate(snrs: SnrPair) -> float:
-    """Degraded-wiretap secrecy rate with the same rank-one input.
-
-    This comparison curve is a reconstruction (the standard Gaussian
-    wiretap expression), and is labelled as such in experiment outputs.
-    """
-    return float(secrecy_rates(snrs.legitimate, snrs.eavesdropper))
 
 
 def _psd_sqrt(k: np.ndarray) -> np.ndarray:
@@ -127,10 +98,7 @@ def mimo_secret_key_rate(subcarrier_gains, eavesdropper_matrix, input_cov) -> fl
     gains = np.asarray(subcarrier_gains, dtype=complex)
     h_e = np.asarray(eavesdropper_matrix, dtype=complex)
     m = gains.size
-    if isinstance(input_cov, InputCovariance):
-        k_u = input_cov.matrix(m)
-    else:
-        k_u = np.asarray(input_cov, dtype=complex)
+    k_u = np.asarray(input_cov, dtype=complex)
     if k_u.shape != (m, m):
         raise ValueError("input covariance has wrong shape")
     root = _psd_sqrt(k_u)

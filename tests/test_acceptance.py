@@ -38,7 +38,6 @@ from skagree.rates import (
     best_subcarrier,
     low_power_input,
     mimo_secret_key_rate,
-    secret_key_rate,
     secret_key_rates,
     secrecy_rates,
     snr_pair,
@@ -104,7 +103,7 @@ def test_criterion_2_rank_one_consistency():
                 ch.eavesdropper_matrix,
                 low_power_input(cfg, m, power),
             )
-            scalar = secret_key_rate(snr_pair(cfg, g_r, g_e, power, m))
+            scalar = secret_key_rates(*snr_pair(cfg, g_r, g_e, power, m))
             worst = max(worst, abs(full - scalar))
     ok = worst < 1e-10
     assert verdict(

@@ -114,6 +114,16 @@ _MALFORMED = [
     ("security-gap", {"step_db": 1e-320}, None),
     # a full-rank code, k = 0: the simulator's check
     ("fer-sim", {"n": 60, "rate": 0.0}, None),
+    # 1 - rate rounds to 1, so w_c / (1 - rate) is w_c again
+    ("threshold", {"rate": 1e-17}, "rate"),
+    # a bracket with no inside: the library's check
+    ("threshold", {"lo_db": 10.0, "hi_db": -10.0}, None),
+    ("threshold", {"lo_db": 0.0, "hi_db": 0.0}, None),
+    # density evolution of no iteration never converges
+    ("threshold", {"max_iter": 0}, "max_iter"),
+    # two points in one millidecibel stream would decode the same frames
+    ("fer-sim", {"snr_db_list": [0.0004, 0.0001]}, "snr_db_list"),
+    ("fer-sim", {"snr_db_list": [1.0, 2.0, 1.0]}, "snr_db_list"),
 ]
 
 

@@ -134,6 +134,14 @@ class TestDecodingThreshold:
         coarse = 10 * np.log10(decoding_threshold(3, 4.0, tol_db=0.05, max_iter=50))
         assert abs(fine - coarse) < 0.05
 
+    @pytest.mark.parametrize("lo_db, hi_db", [(10.0, -10.0), (0.0, 0.0)])
+    def test_empty_bracket_rejected_before_any_run(self, monkeypatch, lo_db, hi_db):
+        runs = []
+        monkeypatch.setattr(de_module, "density_evolution", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match="lo_db"):
+            decoding_threshold(3, 4.0, lo_db=lo_db, hi_db=hi_db)
+        assert runs == []
+
     def test_bracket_failure_raises(self):
         with pytest.raises(RuntimeError):
             decoding_threshold(3, 4.0, lo_db=5.0, hi_db=20.0)
