@@ -11,7 +11,7 @@ _MASK64 = (1 << 64) - 1
 _BITS_BLOCK = 1 << 16
 
 #: Recorded in experiment metadata so runs can be reproduced elsewhere.
-RNG_ALGORITHM = "philox4x64x10(key=seed<<64|stream):box-muller"
+RNG_ALGORITHM = "philox4x64x10(key=seed<<64|stream):box-muller;scrambler=L*C(raw words)"
 
 
 def _splitmix64(x: int) -> int:
@@ -67,6 +67,11 @@ class SeededRng:
         u1, u2, shape = self._uniform_pairs(size)
         return (np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)).reshape(shape)
 
+    def words(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` raw 64-bit words, as uint64; ``uniform``
+        takes one word per variate."""
+        return self._gen.bit_generator.random_raw(count)
+
     def bits(self, size):
         """Fair bits as uint8: bit i is ``uniform(size)`` element i < 0.5.
 
@@ -78,10 +83,9 @@ class SeededRng:
         """
         out = np.empty(size, dtype=np.uint8)
         flat = out.reshape(-1).view(bool)
-        draw = self._gen.bit_generator.random_raw
         for start in range(0, flat.size, _BITS_BLOCK):
             block = flat[start:start + _BITS_BLOCK]
-            np.less(draw(block.size), 1 << 63, out=block)
+            np.less(self.words(block.size), 1 << 63, out=block)
         return out
 
     def permutation(self, n: int):

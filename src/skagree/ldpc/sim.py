@@ -16,10 +16,12 @@ frames. The scrambler is keyed by the seed alone: one key per experiment,
 as a deployment holds one.
 
 The key is invertible, so a frame errs exactly when its decoded message
-bits are nonzero, and only its bit errors need the key. ``fer_ber_sim``
-descrambles the erroneous frames of the stopping prefix once per round,
-in the calling process, and draws the key only when there is one to
-descramble; a point whose frames all decode draws none.
+bits are nonzero, and only its bit errors need the key's inverse, which
+``FrameScrambler`` draws directly, uniform on GL(k, 2), with nothing to
+invert. ``fer_ber_sim`` descrambles the erroneous frames of the stopping
+prefix once per round, in the calling process, and draws the key only
+when there is one to descramble; a point whose frames all decode draws
+none.
 """
 
 from __future__ import annotations

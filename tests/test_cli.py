@@ -14,6 +14,7 @@ import pytest
 
 import skagree
 import skagree.cli
+from skagree.channels import RNG_ALGORITHM
 from skagree.cli import (
     KINDS,
     REQUIRED,
@@ -375,6 +376,17 @@ def test_ldpc_sidecar_records_decoder_precision(tmp_path, kind, extra):
     meta = json.loads((tmp_path / "x.meta.json").read_text())
     assert meta["decoder_dtype"] == "float32"
     assert meta["numpy_version"] == np.__version__
+
+
+def test_fer_sim_sidecar_names_the_scrambler_law(tmp_path):
+    """A point's ``bit_errors`` count frames behind the key the seed draws,
+    so the sidecar's RNG record names the key's law as well."""
+    params = {"seed": 3, "n": 256, "rate": 0.25, "w_c": 3, "snr_db_list": [1.0],
+              "max_frames": 40, "target_frame_errors": 20, "max_iter": 20, "out": "x"}
+    run(ExperimentConfig.from_dict("fer-sim", params), out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "x.meta.json").read_text())
+    assert meta["rng_algorithm"] == RNG_ALGORITHM
+    assert meta["rng_algorithm"].endswith(";scrambler=L*C(raw words)")
 
 
 def test_rerun_byte_identical(tmp_path):

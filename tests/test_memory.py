@@ -76,14 +76,16 @@ def test_encode_batch_stays_below_one_unpacked_parity_map():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scrambler_draw_stays_below_one_byte_per_entry(seed):
     """A float64 draw alone takes 8 bytes per entry, and a byte per entry
-    is one unpacked copy of the key; the key is drawn a few rows at a time
-    into packed rows, reduced next to its identity-augmented copy, and held
-    as two packed k x k matrices, an eighth of a byte per entry each."""
+    is one unpacked copy of the key; the key's inverse is drawn as raw
+    words straight into its two packed k x k factors, an eighth of a byte
+    per entry each, and they are what it holds."""
     k = 500
     scr, peak, held = _traced(lambda: FrameScrambler(k, seed))
     assert peak < k * k
     assert held < k * k / 2
-    assert np.array_equal(gf2.pack_rows(scr.matrix), scr._matrix)
+    factors = (scr._lower, scr._pivoted)
+    assert all(f.dtype == np.uint64 and f.shape == (k, (k + 63) // 64) for f in factors)
+    assert held >= sum(f.nbytes for f in factors)
 
 
 def _dense_run_frames(sim, frame_ids, snr_lambda, max_iter, rng):
