@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# raw words ``SeededRng.bits`` draws at a time
-_BITS_BLOCK = 1 << 16
 
 #: Recorded in experiment metadata so runs can be reproduced elsewhere.
 RNG_ALGORITHM = "philox4x64x10(key=seed<<64|stream):box-muller;scrambler=L*C(raw words)"
@@ -76,17 +74,12 @@ class SeededRng:
         """Fair bits as uint8: bit i is ``uniform(size)`` element i < 0.5.
 
         ``Generator.random`` maps a raw 64-bit word w to (w >> 11) * 2**-53,
-        which is below 0.5 exactly when bit 63 of w is clear. So the bits are
-        read off raw words drawn in blocks, one word per bit as ``uniform``
-        takes, and the stream ends where ``uniform(size)`` leaves it, with
-        no float array of the whole size.
+        which is below 0.5 exactly when bit 63 of w is clear. So the bits
+        are read off raw words, one word per bit as ``uniform`` takes, and
+        the stream ends where ``uniform(size)`` leaves it.
         """
-        out = np.empty(size, dtype=np.uint8)
-        flat = out.reshape(-1).view(bool)
-        for start in range(0, flat.size, _BITS_BLOCK):
-            block = flat[start:start + _BITS_BLOCK]
-            np.less(self.words(block.size), 1 << 63, out=block)
-        return out
+        below = np.less(self.words(int(np.prod(size))), 1 << 63)
+        return below.view(np.uint8).reshape(size)
 
     def permutation(self, n: int):
         return self._gen.permutation(n)

@@ -42,7 +42,6 @@ class FrameScrambler:
         if length < 1:
             raise ValueError("frame length must be positive")
         self.length = length
-        self.seed = seed
         rng = SeededRng(seed)
         width = (length + 63) // 64
         lower = rng.words(length * width).reshape(length, width)

@@ -12,16 +12,16 @@ Frame i draws its noise from the stream ``rng.spawn(i)`` of the rng given,
 so estimates are bit-identical regardless of batch size or worker count,
 early stopping depends only on the per-frame outcome sequence, and two
 streams of one seed (the points of one experiment) decode independent
-frames. The scrambler is keyed by the seed alone: one key per experiment,
-as a deployment holds one.
+frames. The scrambler key is a function of (k, seed) alone, so the points
+of one experiment see one key, as a deployment holds one.
 
 The key is invertible, so a frame errs exactly when its decoded message
 bits are nonzero, and only its bit errors need the key's inverse, which
 ``FrameScrambler`` draws directly, uniform on GL(k, 2), with nothing to
 invert. ``fer_ber_sim`` descrambles the erroneous frames of the stopping
-prefix once per round, in the calling process, and draws the key only
-when there is one to descramble; a point whose frames all decode draws
-none.
+prefix once per round, in the calling process. It draws the key at most
+once, when there is first a frame to descramble, and drops it when it
+returns; a point whose frames all decode draws none.
 """
 
 from __future__ import annotations
@@ -136,20 +136,6 @@ class _FrameLlrs:
         return llrs_from_rx(rx, self.snr_lambda, self.n)
 
 
-# The last key drawn. A new (k, seed) releases it before its own is drawn,
-# so two keys never coexist.
-_key: FrameScrambler | None = None
-
-
-def _scrambler(k: int, seed: int) -> FrameScrambler:
-    """The experiment's scrambler key, drawn once per (k, seed)."""
-    global _key
-    if _key is None or (_key.length, _key.seed) != (k, seed):
-        _key = None
-        _key = FrameScrambler(k, seed)
-    return _key
-
-
 # The simulator of a pooled fer_ber_sim call, set once per worker process by
 # the pool's initializer, so a task carries only its frames, SNR, max_iter
 # and rng.
@@ -194,6 +180,7 @@ def fer_ber_sim(
         raise ValueError(f"the code has no message bits: H has full rank {h.shape[1]}")
     lanes = max(1, workers)
     frames = fe_total = be_total = 0
+    key = None
     # each worker receives the simulator once, through the initializer; the
     # rng pickles with its seed and stream, so frame i draws from
     # rng.spawn(i) in any worker
@@ -217,7 +204,8 @@ def fer_ber_sim(
             new = int(cum[size - 1]) - fe_total
             if new:
                 rows = np.concatenate([info for _, info in results])[:new]
-                key = _scrambler(k, rng.seed)
+                if key is None:
+                    key = FrameScrambler(k, rng.seed)
                 be_total += int(np.count_nonzero(key.invert_bits(rows)))
             frames += size
             fe_total += new

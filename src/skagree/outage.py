@@ -153,8 +153,8 @@ def lambda_e_cdf(theta, spec: EigenSpectrum):
     """
     shape = np.shape(theta)
     arr = np.asarray(theta, dtype=float).reshape(-1)
-    if np.any(arr < 0):
-        raise ValueError("theta must be nonnegative")
+    if not np.all(arr >= 0):
+        raise ValueError("theta must be nonnegative, not NaN")
     # an exactly-zero eigenvalue adds an Exp(0) term: zero
     lam = spec.eigenvalues[spec.eigenvalues > 0.0]
     if lam.size == 0:
@@ -309,12 +309,14 @@ def sk_rate_outage_probability(
     the legitimate peak is drawn, from the stream ``sk_rate_outage_cdf``
     uses for the legitimate link; the eavesdropper average is exact, so no
     indicator variance is left at small outage probabilities. Rates at or
-    above log2(1 + target) give probability 1, rates <= 0 give 0, and
-    when no rate is above 0 no peak is drawn.
+    above log2(1 + target) give probability 1, rates <= 0 give 0, a NaN
+    rate is a ValueError, and when no rate is above 0 no peak is drawn.
     """
+    r = np.atleast_1d(np.asarray(rates, dtype=float))
+    if np.isnan(r).any():
+        raise ValueError("rates must not be NaN")
     peaks = _legit_peaks(cfg, pdp_legit, samples, rng)
     target = 10.0 ** (target_lambda_r_db / 10.0)
-    r = np.atleast_1d(np.asarray(rates, dtype=float))
     theta = np.zeros(r.size)
     positive = r > 0
     growth = np.expm1(r[positive] * np.log(2.0))  # 2^r - 1

@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from skagree.channels import (
-    _BITS_BLOCK,
     PdpProfile,
     SeededRng,
     exponential_pdp,
@@ -32,8 +31,7 @@ class TestSeededRng:
         assert abs(z.mean()) < 0.01
 
     @pytest.mark.parametrize("size", [
-        1, _BITS_BLOCK - 1, _BITS_BLOCK, _BITS_BLOCK + 1, 3 * _BITS_BLOCK + 5,
-        (300, 700), (0, 3),
+        1, 65535, 65536, 65537, 196613, (300, 700), (0, 3),
     ])
     def test_bits_are_uniforms_below_one_half(self, size):
         """Bits read off raw words equal the float draw's ``< 0.5``, and

@@ -240,6 +240,8 @@ class TestLambdaECdf:
     def test_rejects_negative_theta(self):
         with pytest.raises(ValueError):
             lambda_e_cdf(-0.1, EigenSpectrum(np.array([1.0])))
+        with pytest.raises(ValueError):
+            lambda_e_cdf([0.5, np.nan], EigenSpectrum(np.array([1.0])))
 
     def test_exact_zero_eigenvalues_dropped(self):
         # an Exp(0) term is identically zero, so it leaves the CDF unchanged
@@ -426,6 +428,9 @@ class TestConditionalRateOutage:
         long_pdp = exponential_pdp(17, -10.0, 0.5)
         with pytest.raises(ValueError, match="longer than the cyclic prefix"):
             sk_rate_outage_probability(cfg, long_pdp, pdp, -1.0, [0.0], 10, SeededRng(17))
+        with pytest.raises(ValueError, match="NaN"):
+            sk_rate_outage_probability(cfg, pdp, pdp, -1.0, [np.nan, np.inf, 0.3], 10,
+                                       SeededRng(17))
         assert draws == []
 
 

@@ -112,8 +112,7 @@ def _spy_invert_bits(monkeypatch):
 
 
 def _spy_key_draws(monkeypatch):
-    """The args of every key drawn, starting from an empty key cache."""
-    monkeypatch.setattr(sim_module, "_key", None)
+    """The args of every key drawn."""
     draws = []
     inner = FrameScrambler.__init__
 
@@ -379,31 +378,23 @@ def test_descrambles_only_the_stopping_prefix_errors(small_code, monkeypatch):
     assert sum(len(rows) for rows in descrambled) == est.frame_errors
 
 
-def test_points_of_one_seed_share_one_key(small_code, monkeypatch):
-    draws = _spy_key_draws(monkeypatch)
-    for snr_db in (-1.0, -0.5):
-        est = fer_ber_sim(small_code, 10 ** (snr_db / 10), 16, 16, 10, SeededRng(31))
-        assert est.frame_errors > 0
-    assert draws == [(small_code.encoder().k, 31)]
-    assert sim_module._key.seed == 31
-
-
-def test_new_seed_releases_the_old_key_before_drawing(small_code, monkeypatch):
-    draws = _spy_key_draws(monkeypatch)
-    fer_ber_sim(small_code, 10 ** (-1.0), 4, 4, 5, SeededRng(41))
-    old = weakref.ref(sim_module._key)
-    alive_at_draw = []
+def test_no_key_outlives_its_call(small_code, monkeypatch):
+    """A call draws its key once, however many rounds descramble, and no
+    reference to it is left when the call returns."""
+    keys = []
     inner = FrameScrambler.__init__
 
-    def watching(self, *args):
-        gc.collect()
-        alive_at_draw.append(old() is not None)
+    def spy(self, *args):
+        keys.append(weakref.ref(self))
         inner(self, *args)
 
-    monkeypatch.setattr(FrameScrambler, "__init__", watching)
-    fer_ber_sim(small_code, 10 ** (-1.0), 4, 4, 5, SeededRng(42))
-    assert len(draws) == 2 and alive_at_draw == [False]
-    assert sim_module._key.seed == 42
+    monkeypatch.setattr(FrameScrambler, "__init__", spy)
+    descrambled = _spy_invert_bits(monkeypatch)
+    kwargs = dict(max_frames=300, target_frame_errors=40, max_iter=30)
+    est = fer_ber_sim(small_code, 10 ** (-0.15), rng=SeededRng(12), **kwargs)
+    assert est.frame_errors == 40 and len(descrambled) > 1 and len(keys) == 1
+    gc.collect()
+    assert keys[0]() is None
 
 
 def test_deterministic_given_seed(small_code):
@@ -447,7 +438,7 @@ def test_streams_of_one_seed_draw_different_frames(small_code, monkeypatch):
     kwargs = dict(max_frames=8, target_frame_errors=8, max_iter=5)
     for rng in (SeededRng(7).spawn(1), SeededRng(7).spawn(2), SeededRng(7).spawn(1)):
         assert fer_ber_sim(small_code, 10 ** (-0.15), rng=rng, **kwargs).frame_errors > 0
-    assert draws == [(small_code.encoder().k, 7)]
+    assert draws == [(small_code.encoder().k, 7)] * 3
     first, second, again = received
     assert first.shape == second.shape == (8, small_code.n)
     assert not np.any(np.all(first == second, axis=1))
